@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-race vet fmt-check bench bench-json bench-wire fuzz obs-check ci
+.PHONY: all build test test-race vet fmt-check bench bench-json fuzz obs-check ci
 
 all: build test vet
 
@@ -34,8 +34,8 @@ fmt-check:
 # BenchmarkExchange compares batched vs record-at-a-time keyed exchange
 # (the batched rows should show >= 1.5x the unbatched rec/s);
 # BenchmarkCodecLookup covers the atomic-snapshot codec registry on the
-# frame hot path, and BenchmarkWireEncode the pooled columnar wire
-# encoders — the encode benchmarks assert 0 allocs/op.
+# frame hot path, and BenchmarkWireEncode the pooled message encoder
+# (TestWireEncodeAllocs asserts its 0 allocs/op).
 bench:
 	$(GO) test ./internal/flow -run '^$$' -bench 'BenchmarkExchange|BenchmarkCodecLookup' -benchtime=1s
 	$(GO) test ./internal/ops/msg -run '^$$' -bench BenchmarkWireEncode -benchtime=1s
@@ -52,14 +52,6 @@ bench:
 bench-json:
 	$(GO) run ./cmd/bench -exp pipeline -objects 300 -ticks 200 -json BENCH_pipeline.json
 
-# bench-wire writes BENCH_wire.json: the standalone wire-fast-path
-# comparison (legacy write-per-frame rows vs coalesced columnar batches
-# over the multi-process TCP transport) at the wire experiment's own
-# pressure scale. The same comparison is embedded as the "wire" section
-# of BENCH_pipeline.json.
-bench-wire:
-	$(GO) run ./cmd/bench -exp wire -objects 1000 -ticks 100 -json BENCH_wire.json
-
 # fuzz runs each codec fuzz target briefly (the committed seed corpus
 # already runs on every `make test`): the ops/msg wire codecs, the
 # key-group state codecs the checkpoint files are built from (full and
@@ -67,11 +59,11 @@ bench-wire:
 fuzz:
 	$(GO) test ./internal/ops/msg -fuzz FuzzDecodePayload -fuzztime 30s
 	$(GO) test ./internal/ops/msg -fuzz FuzzDecodeMessage -fuzztime 30s
+	$(GO) test ./internal/ops/msg -fuzz FuzzWireBatchRoundTrip -fuzztime 30s
 	$(GO) test ./internal/ops/msg -fuzz FuzzPairsRoundTrip -fuzztime 30s
 	$(GO) test ./internal/ops/msg -fuzz FuzzRecRoundTrip -fuzztime 30s
 	$(GO) test ./internal/ops/msg -fuzz FuzzCellDeltaRoundTrip -fuzztime 30s
 	$(GO) test ./internal/ops/msg -fuzz FuzzPairDeltaRoundTrip -fuzztime 30s
-	$(GO) test ./internal/ops/msg -fuzz FuzzWireBatchRoundTrip -fuzztime 30s
 	$(GO) test ./internal/flow -fuzz FuzzDecodeGroupStates -fuzztime 30s
 	$(GO) test ./internal/flow -fuzz FuzzDecodeGroupDeltas -fuzztime 30s
 	$(GO) test ./internal/ckpt -fuzz FuzzDecodePageDir -fuzztime 30s

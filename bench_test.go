@@ -3,8 +3,7 @@ package icpe
 // One testing.B benchmark per table and figure of the paper's evaluation
 // (Section 7). Each iteration regenerates the experiment at reduced scale;
 // run `go test -bench=. -benchmem` for the quick pass or `go run
-// ./cmd/bench` for the full sweeps. EXPERIMENTS.md records paper-vs-
-// measured shapes.
+// ./cmd/bench` for the full sweeps.
 
 import (
 	"io"

@@ -2,19 +2,16 @@
 //
 // Usage:
 //
-//	bench [-exp all|table2|table3|fig10|fig11|fig12|fig13|fig14|fig15|pipeline|wire]
+//	bench [-exp all|table2|table3|fig10|fig11|fig12|fig13|fig14|fig15|ablation|pipeline]
 //	      [-objects N] [-ticks N] [-seed S] [-json FILE]
 //
 // Output is printed as aligned series (one per competitor) with latency,
-// throughput and average cluster size, mirroring the paper's plots. See
-// EXPERIMENTS.md for the paper-vs-measured comparison.
+// throughput and average cluster size, mirroring the paper's plots.
 //
 // The pipeline experiment measures per-stage throughput and keyed-exchange
 // records/sec on the in-process vs the multi-process TCP transport; with
 // -json it writes the machine-readable report (see `make bench-json`,
-// which produces BENCH_pipeline.json). The wire experiment runs only the
-// TCP wire-fast-path comparison (legacy write-per-frame rows vs coalesced
-// columnar batches; see `make bench-wire`, which produces BENCH_wire.json).
+// which produces BENCH_pipeline.json).
 package main
 
 import (
@@ -41,11 +38,11 @@ func writeJSON(path string, w io.Writer, fn func(io.Writer) error) error {
 }
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: all, table2, table3, fig10..fig15, ablation, pipeline, wire (comma-separated)")
+	exp := flag.String("exp", "all", "experiment: all, table2, table3, fig10..fig15, ablation, pipeline (comma-separated)")
 	objects := flag.Int("objects", bench.FullScale.Objects, "number of moving objects")
 	ticks := flag.Int("ticks", bench.FullScale.Ticks, "stream length in ticks")
 	seed := flag.Int64("seed", 42, "workload seed")
-	jsonPath := flag.String("json", "", "write the pipeline/wire experiment's JSON report to this file (default stdout)")
+	jsonPath := flag.String("json", "", "write the pipeline experiment's JSON report to this file (default stdout)")
 	flag.Parse()
 
 	sc := bench.Scale{Objects: *objects, Ticks: *ticks}
@@ -75,13 +72,6 @@ func main() {
 		case "pipeline":
 			if err := writeJSON(*jsonPath, w, func(out io.Writer) error {
 				return bench.PipelineJSON(out, *seed, sc)
-			}); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-		case "wire":
-			if err := writeJSON(*jsonPath, w, func(out io.Writer) error {
-				return bench.WireJSON(out, *seed, sc)
 			}); err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				os.Exit(1)

@@ -107,14 +107,6 @@ func main() {
 	ckptDelta := flag.Bool("checkpoint-delta", false, "incremental checkpoints: persist only key groups dirtied since the previous cut")
 	ckptCompact := flag.Int("checkpoint-compact", 0, "delta-chain length that triggers background compaction into a full base (0 = store default; with -checkpoint-delta)")
 	ckptPaged := flag.Bool("checkpoint-paged", false, "store checkpoint state in a paged blob file (fixed-size pages + free list)")
-	wireLegacy := flag.Bool("wire-legacy", false, "run the TCP data plane in the pre-fast-path wire configuration (row framing, one write per frame); overrides the other -wire-* flags")
-	wireCoalesce := flag.Bool("wire-coalesce", true, "buffer TCP edge frames and write once per flush (watermark/barrier/size/idle policy) instead of once per frame")
-	wireCoalesceKiB := flag.Int("wire-coalesce-kib", 64, "pending-buffer watermark in KiB that forces a mid-burst flush (with -wire-coalesce)")
-	wireFlushMicros := flag.Int("wire-flush-micros", 1000, "background flush period in microseconds: the latency bound for coalesced frames no other trigger flushes")
-	wireColumnar := flag.Bool("wire-columnar", true, "negotiate wire codec version >= 1: columnar delta-compressed batch encodings (false pins row framing)")
-	wireNoDelay := flag.Bool("wire-nodelay", true, "set TCP_NODELAY on edge connections")
-	wireSndbufKiB := flag.Int("wire-sndbuf-kib", 0, "socket send buffer size in KiB for edge connections (0 = OS default)")
-	wireRcvbufKiB := flag.Int("wire-rcvbuf-kib", 0, "socket receive buffer size in KiB for edge connections (0 = OS default)")
 	metricsAddr := flag.String("metrics-addr", "", "serve Prometheus /metrics, /healthz, /readyz and pprof on this address (e.g. 127.0.0.1:9090); in tcp mode the coordinator's scrape aggregates every worker")
 	eventLogPath := flag.String("event-log", "", "append structured JSON event records (checkpoints, restores, rescales, worker membership) to this file")
 	flag.Parse()
@@ -197,23 +189,6 @@ func main() {
 		// partitions (the host-side assembler is gone).
 		cfg.SourceSlack = model.Tick(*slack)
 	}
-	// Wire tuning only matters on the TCP data plane; a nil cfg.Wire means
-	// tcpnet.DefaultWire. The handshake clamps the codec version to what
-	// both ends support, so mixed deployments degrade instead of failing.
-	wire := tcpnet.DefaultWire()
-	wire.Coalesce = *wireCoalesce
-	wire.CoalesceBytes = *wireCoalesceKiB << 10
-	wire.FlushMicros = *wireFlushMicros
-	if !*wireColumnar {
-		wire.Version = 0
-	}
-	wire.NoDelay = *wireNoDelay
-	wire.SendBuf = *wireSndbufKiB << 10
-	wire.RecvBuf = *wireRcvbufKiB << 10
-	if *wireLegacy {
-		wire = tcpnet.LegacyWire()
-	}
-	cfg.Wire = &wire
 	switch {
 	case *ckptDir != "":
 		cfg.CheckpointDir = *ckptDir

@@ -25,9 +25,9 @@
 //	result := det.Close()
 //	for _, p := range result.Patterns { fmt.Println(p) }
 //
-// See the examples directory for runnable end-to-end programs and
-// EXPERIMENTS.md for the benchmark suite reproducing the paper's
-// evaluation.
+// See the examples directory for runnable end-to-end programs, cmd/bench
+// for the runners reproducing the paper's evaluation, and BENCHMARK.json
+// for the real-time benchmark.
 package icpe
 
 import (
@@ -147,8 +147,8 @@ type Options struct {
 	// range join keeps persistent per-cell indexes, and clustering is
 	// maintained incrementally — identical results, with per-tick work
 	// proportional to how many objects moved rather than to the full
-	// population. Requires ClusterRJC and SourcePartitions == 0. Like
-	// MaxParallelism it is part of a checkpointed job's identity.
+	// population. Requires ClusterRJC and composes with SourcePartitions.
+	// Like MaxParallelism it is part of a checkpointed job's identity.
 	Incremental bool
 	// Nodes simulates a cluster of this many nodes (0 = uncapped).
 	Nodes int

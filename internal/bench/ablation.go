@@ -11,8 +11,8 @@ import (
 )
 
 // Ablation measures each optimization lemma's contribution to the range
-// join (a design-choice study DESIGN.md calls out; the paper motivates both
-// lemmas but does not isolate them). It clusters every snapshot of each
+// join (a design-choice study: the paper motivates both lemmas but does
+// not isolate them). It clusters every snapshot of each
 // dataset with the four RJC variants and reports per-snapshot time and the
 // raw pair emissions (duplicates produced before filtering).
 func Ablation(w io.Writer, seed int64, sc Scale) {

@@ -5,10 +5,10 @@
 // it.
 //
 // Scale: the paper streams 24-190 M GPS points through an 11-node cluster;
-// this harness defaults to scaled-down synthetic datasets (see DESIGN.md
-// for the substitution table) sized to finish on one machine. Absolute
-// numbers therefore differ from the paper; EXPERIMENTS.md records the
-// shape comparison (who wins, by what factor, where curves cross).
+// this harness defaults to scaled-down synthetic datasets (internal/datagen
+// documents each substitution) sized to finish on one machine. Absolute
+// numbers therefore differ from the paper; compare shapes instead (who
+// wins, by what factor, where curves cross).
 //
 // Parameter mapping: eps and lg are expressed as percentages of the
 // dataset's maximal coordinate extent, exactly as in Table 3. The temporal
@@ -39,12 +39,6 @@ var SmallScale = Scale{Objects: 400, Ticks: 150}
 
 // FullScale is the cmd/bench default.
 var FullScale = Scale{Objects: 1500, Ticks: 600}
-
-// WireScale is the wire experiment's workload: enough objects per tick
-// that the TCP data plane — not per-tick stage latency — dominates, which
-// is the regime the wire fast path (coalescing + columnar batches) is
-// built for.
-var WireScale = Scale{Objects: 1000, Ticks: 100}
 
 // Params carries the experiment defaults (Table 3, temporal values /10).
 type Params struct {

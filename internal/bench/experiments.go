@@ -24,7 +24,7 @@ var (
 
 // Table2 prints the dataset statistics table for the generated workloads.
 func Table2(w io.Writer, seed int64, sc Scale) {
-	fmt.Fprintf(w, "\n== Table 2: datasets (generated; see DESIGN.md for substitutions) ==\n")
+	fmt.Fprintf(w, "\n== Table 2: datasets (generated; see internal/datagen for substitutions) ==\n")
 	fmt.Fprintf(w, "%-12s %14s %14s %12s\n", "dataset", "#trajectories", "#locations", "#snapshots")
 	for _, name := range []string{"geolife", "taxi", "brinkhoff"} {
 		d := MakeDataset(name, seed, sc)

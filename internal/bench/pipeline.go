@@ -15,7 +15,6 @@ import (
 	"repro/internal/ckpt"
 	"repro/internal/core"
 	"repro/internal/enum"
-	"repro/internal/flow"
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/trajio"
@@ -41,55 +40,6 @@ type TransportRun struct {
 	// stage-input record crossed one exchange) over the wall clock — the
 	// headline number for comparing transports.
 	ExchangeRecordsPerSec float64 `json:"exchange_records_per_sec"`
-}
-
-// WireRun is one wire-configuration measurement of the multi-process TCP
-// pipeline, with the transport's byte/flush/frame counters sampled around
-// the run (the workers run as in-process goroutines, so the package-wide
-// counters see every edge on both sides).
-type WireRun struct {
-	Config                string  `json:"config"` // "legacy" | "fastpath"
-	Coalesce              bool    `json:"coalesce"`
-	Columnar              bool    `json:"columnar"`
-	WallSeconds           float64 `json:"wall_seconds"`
-	Patterns              int64   `json:"patterns"`
-	ExchangeRecords       int64   `json:"exchange_records"`
-	ExchangeRecordsPerSec float64 `json:"exchange_records_per_sec"`
-	WireBytes             int64   `json:"wire_bytes"`
-	WireFrames            int64   `json:"wire_frames"`
-	WireFlushes           int64   `json:"wire_flushes"`
-	BytesPerRecord        float64 `json:"bytes_per_record"`
-	FramesPerFlush        float64 `json:"frames_per_flush"`
-}
-
-// WireReport compares the pre-fast-path wire configuration (write-per-frame
-// sends, row encodings — tcpnet.LegacyWire) against the negotiated fast
-// path (coalesced writes, columnar batches — tcpnet.DefaultWire) on the
-// same seeded workload and worker count. Samples are interleaved and the
-// minimum-wall sample kept per side, like the checkpoint rows; the
-// committed pattern counts must match or the fast path changed results.
-type WireReport struct {
-	// Objects/Ticks record the wire experiment's own workload scale (see
-	// WireScale) — it is deliberately heavier than the surrounding
-	// pipeline report's anchor scale.
-	Objects  int     `json:"objects"`
-	Ticks    int     `json:"ticks"`
-	Workers  int     `json:"workers"`
-	Baseline WireRun `json:"baseline"`
-	Fastpath WireRun `json:"fastpath"`
-	// Speedup is fastpath over baseline exchange records/sec.
-	Speedup float64 `json:"speedup"`
-	// BytesPerRecordReductionPct is how much smaller the per-record wire
-	// footprint got: (1 - fastpath/baseline) * 100.
-	BytesPerRecordReductionPct float64 `json:"bytes_per_record_reduction_pct"`
-	// EncodeAllocsPerFrame is the steady-state heap allocations per
-	// encoded frame on a representative workload record (pooled scratch
-	// keeps this at 0; BenchmarkWireEncode asserts the same per kind).
-	EncodeAllocsPerFrame float64 `json:"encode_allocs_per_frame"`
-	// InprocRatio*Pct report tcp exchange throughput as a percentage of the
-	// in-process transport before and after — the gap the fast path closes.
-	InprocRatioBaselinePct float64 `json:"inproc_ratio_baseline_pct,omitempty"`
-	InprocRatioFastpathPct float64 `json:"inproc_ratio_fastpath_pct,omitempty"`
 }
 
 // CheckpointRun measures the aligned-barrier checkpointing overhead at one
@@ -284,7 +234,6 @@ type PipelineReport struct {
 	Parallelism   int                `json:"parallelism"`
 	ExchangeBatch int                `json:"exchange_batch"`
 	Runs          []TransportRun     `json:"runs"`
-	Wire          *WireReport        `json:"wire,omitempty"`
 	Checkpoint    []CheckpointRun    `json:"checkpoint,omitempty"`
 	Rescale       []RescaleRun       `json:"rescale,omitempty"`
 	Ingest        []IngestRun        `json:"ingest,omitempty"`
@@ -440,139 +389,6 @@ func runPipelineTCP(d Dataset, cfg core.Config, workers int) (TransportRun, erro
 		Stages:                stages,
 		ExchangeRecordsPerSec: exch,
 	}, nil
-}
-
-// runPipelineWireOnce runs the TCP pipeline under one explicit wire
-// configuration and reads the transport's cumulative byte/flush/frame
-// counters around it. The bench runs transports sequentially, so the
-// delta is exactly this run's traffic.
-func runPipelineWireOnce(d Dataset, cfg core.Config, workers int, name string, wc tcpnet.WireConfig) (WireRun, error) {
-	bytes0, flushes0, frames0 := tcpnet.WireCounters()
-	cfg.Wire = &wc
-	run, err := runPipelineTCP(d, cfg, workers)
-	if err != nil {
-		return WireRun{}, err
-	}
-	bytes1, flushes1, frames1 := tcpnet.WireCounters()
-	var recs int64
-	for _, s := range run.Stages {
-		recs += s.Records
-	}
-	wr := WireRun{
-		Config:                name,
-		Coalesce:              wc.Coalesce,
-		Columnar:              wc.Version >= 1,
-		WallSeconds:           run.WallSeconds,
-		Patterns:              run.Patterns,
-		ExchangeRecords:       recs,
-		ExchangeRecordsPerSec: run.ExchangeRecordsPerSec,
-		WireBytes:             bytes1 - bytes0,
-		WireFrames:            frames1 - frames0,
-		WireFlushes:           flushes1 - flushes0,
-	}
-	if recs > 0 {
-		wr.BytesPerRecord = float64(wr.WireBytes) / float64(recs)
-	}
-	if wr.WireFlushes > 0 {
-		wr.FramesPerFlush = float64(wr.WireFrames) / float64(wr.WireFlushes)
-	}
-	return wr, nil
-}
-
-// runPipelineWire builds the wire section: interleaved legacy/fast-path TCP
-// samples (minimum wall kept per side, counters from that same sample) and
-// the derived speedup / bytes-per-record / inproc-gap numbers.
-func runPipelineWire(d Dataset, cfg core.Config, workers int, inproc TransportRun) (*WireReport, error) {
-	const samples = 3
-	legacy := tcpnet.LegacyWire()
-	fast := tcpnet.DefaultWire()
-	var base, fp WireRun
-	for i := 0; i < samples; i++ {
-		syscall.Sync()
-		b, err := runPipelineWireOnce(d, cfg, workers, "legacy", legacy)
-		if err != nil {
-			return nil, err
-		}
-		f, err := runPipelineWireOnce(d, cfg, workers, "fastpath", fast)
-		if err != nil {
-			return nil, err
-		}
-		if i == 0 || b.WallSeconds < base.WallSeconds {
-			base = b
-		}
-		if i == 0 || f.WallSeconds < fp.WallSeconds {
-			fp = f
-		}
-	}
-	if base.Patterns != fp.Patterns {
-		return nil, fmt.Errorf("bench: wire: fastpath committed %d patterns, legacy %d", fp.Patterns, base.Patterns)
-	}
-	rep := &WireReport{Objects: d.Objects, Ticks: len(d.Snapshots), Workers: workers, Baseline: base, Fastpath: fp}
-	if base.ExchangeRecordsPerSec > 0 {
-		rep.Speedup = fp.ExchangeRecordsPerSec / base.ExchangeRecordsPerSec
-	}
-	if base.BytesPerRecord > 0 {
-		rep.BytesPerRecordReductionPct = (1 - fp.BytesPerRecord/base.BytesPerRecord) * 100
-	}
-	if inproc.ExchangeRecordsPerSec > 0 {
-		rep.InprocRatioBaselinePct = base.ExchangeRecordsPerSec / inproc.ExchangeRecordsPerSec * 100
-		rep.InprocRatioFastpathPct = fp.ExchangeRecordsPerSec / inproc.ExchangeRecordsPerSec * 100
-	}
-	rep.EncodeAllocsPerFrame = encodeAllocsPerFrame(d)
-	return rep, nil
-}
-
-// encodeAllocsPerFrame measures steady-state heap allocations per encoded
-// frame by re-encoding a representative workload record (the ingest
-// edge's snapshot, the dominant single-record kind) after a warm-up that
-// populates the scratch pools.
-func encodeAllocsPerFrame(d Dataset) float64 {
-	m := flow.Message{From: 0, Data: d.Snapshots[0]}
-	buf := make([]byte, 0, 64<<10)
-	var err error
-	for i := 0; i < 100; i++ {
-		if buf, err = flow.AppendMessageWire(buf[:0], m, true); err != nil {
-			return -1
-		}
-	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	const iters = 1000
-	for i := 0; i < iters; i++ {
-		if buf, err = flow.AppendMessageWire(buf[:0], m, true); err != nil {
-			return -1
-		}
-	}
-	runtime.ReadMemStats(&after)
-	return float64(after.Mallocs-before.Mallocs) / iters
-}
-
-// WireJSON runs only the wire comparison (`bench -exp wire`, `make
-// bench-wire`): legacy vs fast-path TCP rows with an in-process reference
-// rate, as indented JSON.
-func WireJSON(w io.Writer, seed int64, sc Scale) error {
-	d := MakeDataset("planted", seed, sc)
-	p := DefaultParams()
-	cfg := d.config(p, core.RJC, core.FBA)
-	inproc, err := runPipelineInproc(d, cfg)
-	if err != nil {
-		return err
-	}
-	wire, err := runPipelineWire(d, cfg, 2, inproc)
-	if err != nil {
-		return err
-	}
-	out := struct {
-		Dataset                     string      `json:"dataset"`
-		Objects                     int         `json:"objects"`
-		Ticks                       int         `json:"ticks"`
-		Seed                        int64       `json:"seed"`
-		InprocExchangeRecordsPerSec float64     `json:"inproc_exchange_records_per_sec"`
-		Wire                        *WireReport `json:"wire"`
-	}{d.Name, d.Objects, sc.Ticks, seed, inproc.ExchangeRecordsPerSec, wire}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
 }
 
 // runPipelineCkpt measures one checkpoint-enabled in-process run
@@ -1256,23 +1072,6 @@ func PipelineJSON(w io.Writer, seed int64, sc Scale) error {
 	if err != nil {
 		return err
 	}
-	// Wire fast path vs the pre-fast-path configuration on the same TCP
-	// topology: coalesced+columnar against write-per-frame rows. The wire
-	// experiment runs at its own, heavier scale (WireScale): at the anchor
-	// scale above the run is per-tick latency-bound and the exchange is a
-	// third of the wall clock, so wire-level differences disappear into
-	// scheduling noise; the fast path is built for (and measured at) high
-	// per-tick exchange pressure.
-	wd := MakeDataset("planted", seed, WireScale)
-	wcfg := wd.config(p, core.RJC, core.FBA)
-	winproc, err := runPipelineInproc(wd, wcfg)
-	if err != nil {
-		return err
-	}
-	wire, err := runPipelineWire(wd, wcfg, 2, winproc)
-	if err != nil {
-		return err
-	}
 	// Overhead vs interval: the default cadence plus a 4x more aggressive
 	// one, both against the plain inproc wall clock. Each interval runs
 	// the sync full-state oracle and the async+delta incremental path; the
@@ -1350,7 +1149,6 @@ func PipelineJSON(w io.Writer, seed int64, sc Scale) error {
 		Parallelism:   p.Parallelism,
 		ExchangeBatch: core.EffectiveExchangeBatch(cfg.ExchangeBatch),
 		Runs:          []TransportRun{inproc, tcp},
-		Wire:          wire,
 		Checkpoint:    ckptRuns,
 		Rescale:       rescaleRuns,
 		Ingest:        ingestRuns,

@@ -31,7 +31,6 @@ import (
 	"repro/internal/ops/msg"
 	"repro/internal/patstore"
 	"repro/internal/stream"
-	"repro/internal/transport/tcpnet"
 )
 
 // ClusterMethod selects the range-join engine.
@@ -211,15 +210,6 @@ type Config struct {
 	// witnesses end more than PatternRetention ticks behind the sink
 	// watermark are evicted (0 = keep everything).
 	PatternRetention model.Tick
-
-	// Wire overrides the TCP data plane's wire configuration for
-	// distributed runs: codec version, send coalescing, socket options
-	// (nil = tcpnet.DefaultWire, the fast path). The coordinator proposes
-	// it during the handshake and the negotiated result applies job-wide.
-	// Pure deployment knob: it changes how bytes are packed and flushed,
-	// never what they mean, so it is not fingerprinted and may change
-	// across a resume. Ignored by in-process runs.
-	Wire *tcpnet.WireConfig
 
 	// Obs, when set, receives the run's exported metrics: per-stage
 	// throughput and busy time, per-edge queue depth and backpressure,

@@ -249,9 +249,6 @@ func NewDistributed(cfg Config, c *tcpnet.Coordinator) (*Pipeline, error) {
 			}
 		}
 	}
-	if cfg.Wire != nil {
-		c.SetWire(*cfg.Wire)
-	}
 	if cfg.Events != nil {
 		ev := cfg.Events
 		c.SetDataDisconnectHook(func(stage, addr string, err error) {

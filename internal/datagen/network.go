@@ -3,8 +3,8 @@
 // proprietary; GeoLife is external; Brinkhoff is a Java tool), so each is
 // replaced by a synthetic generator reproducing the statistics the
 // algorithms are sensitive to: spatial density, cluster-size distribution,
-// sampling cadence, and co-movement structure. See DESIGN.md for the
-// substitution rationale.
+// sampling cadence, and co-movement structure. DefaultGeoLife, DefaultTaxi
+// and DefaultBrinkhoff document each substitution.
 //
 // All generators are deterministic for a given seed.
 package datagen

@@ -20,20 +20,6 @@ type Codec interface {
 	Decode(data []byte) (any, error)
 }
 
-// BatchCodec is the optional columnar companion of a Codec: it encodes a
-// homogeneous run of records as one block (delta-compressed ids, run-length
-// ticks, coordinates XOR'd against a base point — whatever the type
-// affords), instead of n independent [len][kind][body] rows. AppendBatch
-// encodes items (all of the registered kind) onto buf; DecodeBatch consumes
-// exactly that encoding from the cursor and returns the n decoded values.
-// The encoding must round-trip exactly: decoded values compare equal to
-// what the row Codec would have produced, bit-for-bit on floats, so a
-// distributed run stays byte-identical to an in-process one.
-type BatchCodec interface {
-	AppendBatch(buf []byte, items []any) ([]byte, error)
-	DecodeBatch(d *Dec, n int) ([]any, error)
-}
-
 // Kind identifies a registered record type on the wire. Kinds must be
 // stable across all processes of one deployment; the msg package owns the
 // assignments for the ICPE vocabulary.
@@ -45,7 +31,6 @@ type Kind uint8
 // no lock per record.
 type registry struct {
 	byKind [256]Codec
-	batch  [256]BatchCodec
 	kinds  map[reflect.Type]Kind
 }
 
@@ -64,7 +49,6 @@ func cloneRegistry() *registry {
 	old := regSnap.Load()
 	next := &registry{
 		byKind: old.byKind,
-		batch:  old.batch,
 		kinds:  make(map[reflect.Type]Kind, len(old.kinds)+1),
 	}
 	for t, k := range old.kinds {
@@ -90,25 +74,6 @@ func RegisterCodec(kind Kind, prototype any, c Codec) {
 	}
 	next.byKind[kind] = c
 	next.kinds[t] = kind
-	regSnap.Store(next)
-}
-
-// RegisterBatchCodec attaches a columnar batch codec to an already
-// registered kind. Batched messages carrying that kind then ship columnar
-// blocks when the sender encodes at wire version >= 1 (AppendMessageWire);
-// the row Codec remains the fallback for single records and version-0
-// peers.
-func RegisterBatchCodec(kind Kind, bc BatchCodec) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	next := cloneRegistry()
-	if next.byKind[kind] == nil {
-		panic(fmt.Sprintf("flow: batch codec for unregistered kind %d", kind))
-	}
-	if next.batch[kind] != nil {
-		panic(fmt.Sprintf("flow: batch codec kind %d registered twice", kind))
-	}
-	next.batch[kind] = bc
 	regSnap.Store(next)
 }
 
@@ -158,11 +123,6 @@ const (
 	flagWatermark = 1 << iota
 	flagBatch
 	flagBarrier
-	// flagColumnar marks a batch encoded as kind runs (see
-	// AppendMessageWire) instead of independent rows. Only senders that
-	// negotiated wire version >= 1 set it; the decoder always understands
-	// both layouts.
-	flagColumnar
 )
 
 // encScratch pools the per-item encode buffer of batched messages, shared
@@ -170,14 +130,6 @@ const (
 var encScratch = sync.Pool{New: func() any {
 	b := make([]byte, 0, 1<<10)
 	return &b
-}}
-
-// oneItem pools the single-element []any a non-Batch columnar record is
-// passed to its BatchCodec with — boxing it inline would be the one heap
-// allocation left on the steady-state encode path.
-var oneItem = sync.Pool{New: func() any {
-	s := make([]any, 1)
-	return &s
 }}
 
 // AppendMessage encodes a transport message — data record, Batch carrier,
@@ -194,30 +146,7 @@ var oneItem = sync.Pool{New: func() any {
 //
 // Every record type crossing a networked edge must have a registered Codec.
 func AppendMessage(buf []byte, m Message) ([]byte, error) {
-	return AppendMessageWire(buf, m, false)
-}
-
-// AppendMessageWire is AppendMessage with the wire fast path: when columnar
-// is true, Batch payloads are encoded as homogeneous kind runs,
-//
-//	[flags|flagColumnar][From uvarint][count uvarint]
-//	then per run: [kind byte][mode byte][run uvarint][block]
-//
-// where mode 1 blocks are the kind's BatchCodec columnar encoding and mode
-// 0 blocks fall back to per-item [len uvarint][body] rows (kinds without a
-// batch codec, e.g. low-volume control records). Batch item order is
-// preserved exactly — runs are consecutive slices, never re-sorted — so
-// FIFO delivery and byte-identical downstream output are untouched.
-//
-// A single (non-Batch) record whose kind has a BatchCodec is encoded as
-// [flagColumnar][From uvarint][kind byte][one-item block] — the columnar
-// coding of broadcast-heavy types (snapshots) beats their row layout even
-// without batching. Senders pass columnar=true only after the handshake
-// negotiated wire version >= 1 on every process of the job.
-func AppendMessageWire(buf []byte, m Message, columnar bool) ([]byte, error) {
 	var flags byte
-	var singleBC BatchCodec
-	var singleKind Kind
 	batch, isBatch := m.Data.(Batch)
 	switch {
 	case m.IsWM:
@@ -226,17 +155,6 @@ func AppendMessageWire(buf []byte, m Message, columnar bool) ([]byte, error) {
 		flags = flagBarrier
 	case isBatch:
 		flags = flagBatch
-		if columnar {
-			flags |= flagColumnar
-		}
-	default:
-		if columnar {
-			r := regSnap.Load()
-			if kind, ok := r.kinds[reflect.TypeOf(m.Data)]; ok && r.batch[kind] != nil {
-				flags = flagColumnar
-				singleKind, singleBC = kind, r.batch[kind]
-			}
-		}
 	}
 	buf = append(buf, flags)
 	buf = binary.AppendUvarint(buf, uint64(m.From))
@@ -251,8 +169,6 @@ func AppendMessageWire(buf []byte, m Message, columnar bool) ([]byte, error) {
 		}
 		buf = append(buf, mode)
 		return binary.AppendUvarint(buf, m.CPBase), nil
-	case isBatch && columnar:
-		return appendColumnarBatch(buf, batch.Items)
 	case isBatch:
 		buf = binary.AppendUvarint(buf, uint64(len(batch.Items)))
 		// The per-item scratch comes from a pool: encoding dominates the
@@ -296,134 +212,11 @@ func AppendMessageWire(buf []byte, m Message, columnar bool) ([]byte, error) {
 		encScratch.Put(sp)
 		return buf, nil
 	default:
-		if singleBC != nil {
-			buf = append(buf, byte(singleKind))
-			op := oneItem.Get().(*[]any)
-			(*op)[0] = m.Data
-			buf, err := singleBC.AppendBatch(buf, *op)
-			(*op)[0] = nil
-			oneItem.Put(op)
-			return buf, err
-		}
 		return AppendPayload(buf, m.Data)
 	}
 }
 
-// appendColumnarBatch encodes batch items as consecutive same-kind runs.
-func appendColumnarBatch(buf []byte, items []any) ([]byte, error) {
-	buf = binary.AppendUvarint(buf, uint64(len(items)))
-	r := regSnap.Load()
-	for i := 0; i < len(items); {
-		t := reflect.TypeOf(items[i])
-		kind, ok := r.kinds[t]
-		if !ok {
-			return buf, fmt.Errorf("flow: no codec registered for %T", items[i])
-		}
-		j := i + 1
-		for j < len(items) && reflect.TypeOf(items[j]) == t {
-			j++
-		}
-		run := items[i:j]
-		buf = append(buf, byte(kind))
-		if bc := r.batch[kind]; bc != nil {
-			buf = append(buf, 1)
-			buf = binary.AppendUvarint(buf, uint64(len(run)))
-			var err error
-			buf, err = bc.AppendBatch(buf, run)
-			if err != nil {
-				return buf, err
-			}
-		} else {
-			buf = append(buf, 0)
-			buf = binary.AppendUvarint(buf, uint64(len(run)))
-			c := r.byKind[kind]
-			sp := encScratch.Get().(*[]byte)
-			scratch := (*sp)[:0]
-			for _, item := range run {
-				var err error
-				scratch, err = c.Append(scratch[:0], item)
-				if err != nil {
-					*sp = scratch
-					encScratch.Put(sp)
-					return buf, err
-				}
-				buf = binary.AppendUvarint(buf, uint64(len(scratch)))
-				buf = append(buf, scratch...)
-			}
-			*sp = scratch
-			encScratch.Put(sp)
-		}
-		i = j
-	}
-	return buf, nil
-}
-
-// decodeColumnarBatch parses the run layout of appendColumnarBatch.
-func decodeColumnarBatch(d *Dec) ([]any, error) {
-	n := int(d.Uvarint())
-	if err := d.Err(); err != nil {
-		return nil, err
-	}
-	// Every item costs at least one byte even columnar-encoded (an id
-	// delta, a row length, ...), and every run has a 2-byte header.
-	if n < 0 || n > d.Remaining() {
-		return nil, fmt.Errorf("flow: batch count %d exceeds payload", n)
-	}
-	items := make([]any, 0, n)
-	r := regSnap.Load()
-	for len(items) < n {
-		kind := Kind(d.Byte())
-		mode := d.Byte()
-		run := int(d.Uvarint())
-		if err := d.Err(); err != nil {
-			return nil, err
-		}
-		if run <= 0 || run > n-len(items) {
-			return nil, fmt.Errorf("flow: batch run %d exceeds remaining %d items", run, n-len(items))
-		}
-		switch mode {
-		case 1:
-			bc := r.batch[kind]
-			if bc == nil {
-				return nil, fmt.Errorf("flow: no batch codec for kind %d", kind)
-			}
-			vs, err := bc.DecodeBatch(d, run)
-			if err != nil {
-				return nil, err
-			}
-			if len(vs) != run {
-				return nil, fmt.Errorf("flow: batch codec for kind %d decoded %d of %d items", kind, len(vs), run)
-			}
-			items = append(items, vs...)
-		case 0:
-			c := r.byKind[kind]
-			if c == nil {
-				return nil, fmt.Errorf("flow: unknown codec kind %d", kind)
-			}
-			for k := 0; k < run; k++ {
-				body := d.Bytes(int(d.Uvarint()))
-				if err := d.Err(); err != nil {
-					return nil, err
-				}
-				v, err := c.Decode(body)
-				if err != nil {
-					return nil, err
-				}
-				items = append(items, v)
-			}
-		default:
-			return nil, fmt.Errorf("flow: unknown batch run mode %d", mode)
-		}
-	}
-	if err := d.Err(); err != nil {
-		return nil, err
-	}
-	return items, nil
-}
-
-// DecodeMessage parses one message encoded by AppendMessage or
-// AppendMessageWire (both batch layouts are always understood; the
-// handshake negotiation only gates which one senders emit).
+// DecodeMessage parses one message encoded by AppendMessage.
 func DecodeMessage(data []byte) (Message, error) {
 	d := NewDec(data)
 	flags := d.Byte()
@@ -444,13 +237,6 @@ func DecodeMessage(data []byte) (Message, error) {
 		}
 		return Message{From: from, CP: cp, CPDelta: mode == 1, CPBase: base, IsBarrier: true}, nil
 	case flags&flagBatch != 0:
-		if flags&flagColumnar != 0 {
-			items, err := decodeColumnarBatch(d)
-			if err != nil {
-				return Message{}, err
-			}
-			return Message{From: from, Data: Batch{Items: items}}, nil
-		}
 		n := int(d.Uvarint())
 		if err := d.Err(); err != nil {
 			return Message{}, err
@@ -471,24 +257,6 @@ func DecodeMessage(data []byte) (Message, error) {
 			items = append(items, item)
 		}
 		return Message{From: from, Data: Batch{Items: items}}, nil
-	case flags&flagColumnar != 0:
-		// Single columnar record: [kind][one-item block].
-		kind := Kind(d.Byte())
-		if err := d.Err(); err != nil {
-			return Message{}, err
-		}
-		bc := regSnap.Load().batch[kind]
-		if bc == nil {
-			return Message{}, fmt.Errorf("flow: no batch codec for kind %d", kind)
-		}
-		vs, err := bc.DecodeBatch(d, 1)
-		if err != nil {
-			return Message{}, err
-		}
-		if len(vs) != 1 {
-			return Message{}, fmt.Errorf("flow: batch codec for kind %d decoded %d of 1 items", kind, len(vs))
-		}
-		return Message{From: from, Data: vs[0]}, nil
 	default:
 		if err := d.Err(); err != nil {
 			return Message{}, err
@@ -569,19 +337,6 @@ func (d *Dec) Float64() float64 {
 	return v
 }
 
-// Uint64 reads a fixed 8-byte little-endian unsigned integer (the raw bit
-// pattern companion of Float64, used as the XOR base of columnar
-// coordinate streams).
-func (d *Dec) Uint64() uint64 {
-	if d.err != nil || d.off+8 > len(d.b) {
-		d.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(d.b[d.off:])
-	d.off += 8
-	return v
-}
-
 // Bytes reads the next n bytes (without copying).
 func (d *Dec) Bytes(n int) []byte {
 	if d.err != nil || n < 0 || d.off+n > len(d.b) {
@@ -628,10 +383,4 @@ func (d *Dec) Err() error { return d.err }
 // Dec.Float64.
 func AppendFloat64(buf []byte, f float64) []byte {
 	return binary.LittleEndian.AppendUint64(buf, math.Float64bits(f))
-}
-
-// AppendUint64 appends a fixed 8-byte little-endian unsigned integer, the
-// inverse of Dec.Uint64.
-func AppendUint64(buf []byte, v uint64) []byte {
-	return binary.LittleEndian.AppendUint64(buf, v)
 }

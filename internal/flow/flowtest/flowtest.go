@@ -81,6 +81,7 @@ func Run(t *testing.T, h Harness) {
 	t.Run("Batches", func(t *testing.T) { testBatches(t, h) })
 	t.Run("Backpressure", func(t *testing.T) { testBackpressure(t, h) })
 	t.Run("BarrierFlush", func(t *testing.T) { testBarrierFlush(t, h) })
+	t.Run("IdleFlush", func(t *testing.T) { testIdleFlush(t, h) })
 	t.Run("CloseDrain", func(t *testing.T) { testCloseDrain(t, h) })
 }
 
@@ -397,6 +398,30 @@ func testBarrierFlush(t *testing.T, h Harness) {
 		case <-deadline:
 			t.Fatalf("message %d not delivered: barrier did not flush the send buffer", i)
 		}
+	}
+	send[0].Close()
+}
+
+// testIdleFlush: one record with no watermark, barrier or close after
+// it, on an edge left open. A buffering sender must still deliver it
+// within a bounded time (for tcpnet: the background flusher is the only
+// trigger left).
+func testIdleFlush(t *testing.T, h Harness) {
+	send, recv := h.Edge(t, "idleflush", 1, 8)
+	send[0].Send(flow.Message{From: 0, Data: Payload{Sender: 0, Seq: 42}})
+	got := make(chan flow.Message, 1)
+	go func() {
+		if m, ok := recv[0].Recv(); ok {
+			got <- m
+		}
+	}()
+	select {
+	case m := <-got:
+		if p, ok := m.Data.(Payload); !ok || p.Seq != 42 {
+			t.Fatalf("received %+v, want seq 42", m)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("record not delivered within 2s on an idle open edge")
 	}
 	send[0].Close()
 }

@@ -2,7 +2,7 @@ package msg
 
 import (
 	"bytes"
-	"fmt"
+	"sort"
 	"testing"
 	"time"
 
@@ -14,10 +14,9 @@ import (
 	"repro/internal/model"
 )
 
-// wireBatches returns one Batch message per columnar-compressed kind plus
-// the mixed shapes the encoder must handle: a heterogeneous batch (kind
-// runs), a batch containing a kind without a batch codec (row-fallback
-// run), and degenerate single-item batches.
+// wireBatches returns one Batch message per dominant data-plane record
+// kind, shaped like the pipeline's exchange traffic, plus the shapes the
+// envelope must also carry: a heterogeneous batch and a single-item batch.
 func wireBatches() map[string]flow.Message {
 	recs := make([]any, 0, 32)
 	for i := 0; i < 32; i++ {
@@ -43,7 +42,7 @@ func wireBatches() map[string]flow.Message {
 			Queries: []join.CellObj{{Idx: 2, Loc: geo.Point{X: -8, Y: 0.5}}},
 		}},
 		// Replicated object: idx 0 reappears at the same tick with the same
-		// location (a neighbor-cell query), exercising the dup back-reference.
+		// location (a neighbor-cell query).
 		Cell{Tick: 3, Task: join.CellTask{
 			Key: grid.Key{X: -2, Y: 12},
 			Queries: []join.CellObj{
@@ -90,8 +89,6 @@ func wireBatches() map[string]flow.Message {
 		enum.Partition{Tick: 3, Owner: 1},
 	}
 	mixed := append(append(append([]any{}, recs[:3]...), cells[0]), deltas[0],
-		// Pattern has no batch codec: forces a mode-0 row-fallback run
-		// between compressed runs.
 		model.Pattern{Objects: []model.ObjectID{1, 2, 3}, Times: []model.Tick{4, 5, 6}},
 		Meta{Tick: 2, Objects: []model.ObjectID{7, 8}, Ingest: time.Unix(0, 99)},
 		recs[3])
@@ -108,222 +105,127 @@ func wireBatches() map[string]flow.Message {
 	}
 }
 
-// TestWireSingleRecordColumnar pins the single-record columnar path: a
-// bare (non-Batch) snapshot message must take the one-item block encoding
-// when columnar is negotiated, decode to the identical record, and beat
-// the raw row layout on a realistic roster.
-func TestWireSingleRecordColumnar(t *testing.T) {
-	ids := make([]model.ObjectID, 64)
-	locs := make([]geo.Point, 64)
-	for i := range ids {
-		ids[i] = model.ObjectID(i)
-		locs[i] = geo.Point{X: 500 + float64(i)*0.125, Y: 1200 - float64(i)*0.0625}
-	}
-	m := flow.Message{From: 2, Data: &model.Snapshot{Tick: 31, Objects: ids, Locs: locs, Ingest: time.Unix(0, 77)}}
-	row, err := flow.AppendMessageWire(nil, m, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	col, err := flow.AppendMessageWire(nil, m, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(col) >= len(row) {
-		t.Fatalf("columnar snapshot %dB not smaller than row %dB", len(col), len(row))
-	}
-	mr, err := flow.DecodeMessage(row)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mc, err := flow.DecodeMessage(col)
-	if err != nil {
-		t.Fatal(err)
-	}
-	br, err := flow.AppendPayload(nil, mr.Data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bc, err := flow.AppendPayload(nil, mc.Data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(br, bc) {
-		t.Fatalf("single snapshot differs between layouts:\n row %x\n col %x", br, bc)
-	}
-	// A kind without a batch codec keeps its row layout under columnar.
-	p := flow.Message{From: 1, Data: model.Pattern{Objects: []model.ObjectID{3, 5}, Times: []model.Tick{7, 8, 9}}}
-	prow, err := flow.AppendMessageWire(nil, p, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pcol, err := flow.AppendMessageWire(nil, p, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(prow, pcol) {
-		t.Fatalf("pattern message changed under columnar:\n row %x\n col %x", prow, pcol)
-	}
-	t.Logf("single snapshot: row %dB, columnar %dB (%.1f%%)", len(row), len(col), 100*float64(len(col))/float64(len(row)))
-}
-
-// TestWireBatchEquivalence pins the columnar fast path's exactness: for
-// every batch shape, the columnar encoding must decode to items
-// byte-identical (per re-encoded payload) to what the row encoding
-// produces, and both layouts must be fixed points under re-encoding.
+// TestWireBatchEquivalence pins the batch envelope's exactness: for every
+// batch shape, the decoded message keeps its sender and item count, every
+// decoded item re-encodes to the same payload bytes as the item sent, and
+// re-encoding the decoded message reproduces the exact frame.
 func TestWireBatchEquivalence(t *testing.T) {
 	for name, m := range wireBatches() {
 		t.Run(name, func(t *testing.T) {
-			row, err := flow.AppendMessageWire(nil, m, false)
+			enc, err := flow.AppendMessage(nil, m)
 			if err != nil {
 				t.Fatal(err)
 			}
-			col, err := flow.AppendMessageWire(nil, m, true)
+			got, err := flow.DecodeMessage(enc)
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("decode: %v", err)
 			}
-			if len(col) >= len(row) && len(m.Data.(flow.Batch).Items) > 4 {
-				t.Logf("warning: columnar %dB not smaller than row %dB", len(col), len(row))
+			if got.From != m.From {
+				t.Fatalf("decoded From %d, sent %d", got.From, m.From)
 			}
-			mr, err := flow.DecodeMessage(row)
-			if err != nil {
-				t.Fatalf("row decode: %v", err)
+			sent := m.Data.(flow.Batch).Items
+			recv := got.Data.(flow.Batch).Items
+			if len(sent) != len(recv) {
+				t.Fatalf("sent %d items, decoded %d", len(sent), len(recv))
 			}
-			mc, err := flow.DecodeMessage(col)
-			if err != nil {
-				t.Fatalf("columnar decode: %v", err)
-			}
-			ir := mr.Data.(flow.Batch).Items
-			ic := mc.Data.(flow.Batch).Items
-			if len(ir) != len(ic) {
-				t.Fatalf("row decoded %d items, columnar %d", len(ir), len(ic))
-			}
-			for i := range ir {
-				br, err := flow.AppendPayload(nil, ir[i])
+			for i := range sent {
+				bs, err := flow.AppendPayload(nil, sent[i])
 				if err != nil {
 					t.Fatal(err)
 				}
-				bc, err := flow.AppendPayload(nil, ic[i])
+				br, err := flow.AppendPayload(nil, recv[i])
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !bytes.Equal(br, bc) {
-					t.Fatalf("item %d differs between layouts:\n row %x\n col %x", i, br, bc)
+				if !bytes.Equal(bs, br) {
+					t.Fatalf("item %d (%T) changed in transit:\n sent %x\n recv %x", i, sent[i], bs, br)
 				}
 			}
-			// Fixed point: re-encoding the columnar decode reproduces the
-			// exact columnar bytes.
-			col2, err := flow.AppendMessageWire(nil, mc, true)
+			enc2, err := flow.AppendMessage(nil, got)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(col, col2) {
-				t.Fatalf("columnar encoding not a fixed point:\n %x\n %x", col, col2)
+			if !bytes.Equal(enc, enc2) {
+				t.Fatalf("batch encoding not a fixed point:\n %x\n %x", enc, enc2)
 			}
 		})
 	}
-}
-
-// TestWireBatchCompression pins the size win on a rangejoin-shaped batch:
-// the columnar layout must be at least 30% smaller than the row layout for
-// the bench-like Rec batch (the dominant wire traffic).
-func TestWireBatchCompression(t *testing.T) {
-	m := wireBatches()["rec"]
-	row, err := flow.AppendMessageWire(nil, m, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	col, err := flow.AppendMessageWire(nil, m, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if float64(len(col)) > 0.7*float64(len(row)) {
-		t.Fatalf("columnar rec batch %dB, want <= 70%% of row %dB", len(col), len(row))
-	}
-	t.Logf("rec batch: row %dB, columnar %dB (%.1f%%)", len(row), len(col), 100*float64(len(col))/float64(len(row)))
 }
 
 // TestWireEncodeAllocs asserts the zero-alloc framing claim: steady-state
-// encoding of a batched message — row or columnar — into a reused buffer
-// allocates nothing per frame.
+// encoding of a batched message into a reused buffer allocates nothing per
+// frame.
 func TestWireEncodeAllocs(t *testing.T) {
-	for _, columnar := range []bool{false, true} {
-		name := "row"
-		if columnar {
-			name = "columnar"
+	t.Run("row", func(t *testing.T) {
+		m := wireBatches()["rec"]
+		buf := make([]byte, 0, 1<<16)
+		var err error
+		// Warm the encode scratch pool before measuring.
+		if buf, err = flow.AppendMessage(buf[:0], m); err != nil {
+			t.Fatal(err)
 		}
-		t.Run(name, func(t *testing.T) {
-			m := wireBatches()["rec"]
-			buf := make([]byte, 0, 1<<16)
-			var err error
-			// Warm the encode scratch pool before measuring.
-			if buf, err = flow.AppendMessageWire(buf[:0], m, columnar); err != nil {
+		allocs := testing.AllocsPerRun(100, func() {
+			buf, err = flow.AppendMessage(buf[:0], m)
+			if err != nil {
 				t.Fatal(err)
 			}
-			allocs := testing.AllocsPerRun(100, func() {
-				buf, err = flow.AppendMessageWire(buf[:0], m, columnar)
-				if err != nil {
-					t.Fatal(err)
-				}
-			})
-			if allocs != 0 {
-				t.Fatalf("%s batch encode allocates %.1f/frame, want 0", name, allocs)
-			}
 		})
-	}
+		if allocs != 0 {
+			t.Fatalf("batch encode allocates %.1f/frame, want 0", allocs)
+		}
+	})
 }
 
 // BenchmarkWireEncode measures the per-frame encode of the dominant wire
-// shapes in both layouts (row vs columnar), reporting bytes/record and
-// allocs (must stay 0 steady-state — see TestWireEncodeAllocs for the
-// hard assertion).
+// shapes, reporting bytes/record and allocs (must stay 0 steady-state —
+// see TestWireEncodeAllocs for the hard assertion).
 func BenchmarkWireEncode(b *testing.B) {
 	batches := wireBatches()
 	for _, name := range []string{"rec", "cell", "pairdelta", "meta", "pairs"} {
 		m := batches[name]
 		n := len(m.Data.(flow.Batch).Items)
-		for _, columnar := range []bool{false, true} {
-			layout := "row"
-			if columnar {
-				layout = "columnar"
+		b.Run(name, func(b *testing.B) {
+			buf := make([]byte, 0, 1<<16)
+			var err error
+			if buf, err = flow.AppendMessage(buf[:0], m); err != nil {
+				b.Fatal(err)
 			}
-			b.Run(fmt.Sprintf("%s-%s", name, layout), func(b *testing.B) {
-				buf := make([]byte, 0, 1<<16)
-				var err error
-				if buf, err = flow.AppendMessageWire(buf[:0], m, columnar); err != nil {
+			b.ReportMetric(float64(len(buf))/float64(n), "B/rec")
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				buf, err = flow.AppendMessage(buf[:0], m)
+				if err != nil {
 					b.Fatal(err)
 				}
-				b.ReportMetric(float64(len(buf))/float64(n), "B/rec")
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					buf, err = flow.AppendMessageWire(buf[:0], m, columnar)
-					if err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }
 
-// FuzzWireBatchRoundTrip drives the columnar batch decoders with arbitrary
-// bytes: they must never panic or over-allocate (every count is bounded by
-// Dec.Remaining before allocation), and whatever decodes successfully must
-// re-encode columnar to a stable fixed point.
+// FuzzWireBatchRoundTrip drives the batch envelope decoder with arbitrary
+// bytes seeded from every batch shape: it must never panic or
+// over-allocate (the item count is bounded by Dec.Remaining before
+// allocation), and whatever decodes successfully must re-encode to a
+// stable fixed point.
 func FuzzWireBatchRoundTrip(f *testing.F) {
-	for _, m := range wireBatches() {
-		col, err := flow.AppendMessageWire(nil, m, true)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(col)
-		row, err := flow.AppendMessageWire(nil, m, false)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(row)
+	batches := wireBatches()
+	names := make([]string, 0, len(batches))
+	for name := range batches {
+		names = append(names, name)
 	}
-	// Hostile shapes: truncated header, oversized counts, bad run modes.
+	sort.Strings(names)
+	for _, name := range names {
+		enc, err := flow.AppendMessage(nil, batches[name])
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(enc)
+		// A frame cut mid-item must be rejected, not misread.
+		f.Add(enc[:len(enc)/2])
+	}
+	// Hostile shapes: empty frame, oversized count, and an envelope with a
+	// flag bit no encoder sets.
 	f.Add([]byte{})
 	f.Add([]byte{0x0a, 0x00, 0xff, 0xff, 0xff, 0xff, 0x0f})
 	f.Add([]byte{0x0a, 0x00, 0x02, byte(KindRec), 0x03, 0x02})
@@ -332,20 +234,20 @@ func FuzzWireBatchRoundTrip(f *testing.F) {
 		if err != nil {
 			return
 		}
-		b1, err := flow.AppendMessageWire(nil, m, true)
+		b1, err := flow.AppendMessage(nil, m)
 		if err != nil {
-			t.Fatalf("decoded message does not re-encode columnar: %v", err)
+			t.Fatalf("decoded message does not re-encode: %v", err)
 		}
 		m2, err := flow.DecodeMessage(b1)
 		if err != nil {
-			t.Fatalf("columnar re-encode does not decode: %v", err)
+			t.Fatalf("re-encoded message does not decode: %v", err)
 		}
-		b2, err := flow.AppendMessageWire(nil, m2, true)
+		b2, err := flow.AppendMessage(nil, m2)
 		if err != nil {
-			t.Fatalf("second columnar re-encode: %v", err)
+			t.Fatalf("second re-encode: %v", err)
 		}
 		if !bytes.Equal(b1, b2) {
-			t.Fatalf("columnar encoding not a fixed point:\n b1 %x\n b2 %x", b1, b2)
+			t.Fatalf("batch encoding not a fixed point:\n b1 %x\n b2 %x", b1, b2)
 		}
 	})
 }

@@ -8,52 +8,44 @@ import (
 	"repro/internal/transport/tcpnet"
 )
 
-// tcpHarness builds a two-node loopback harness with the given wire
-// configuration on the sending side.
-func tcpHarness(wire tcpnet.WireConfig) flowtest.Harness {
-	return flowtest.Harness{
-		Edge: func(t *testing.T, stage string, parallelism, buf int) (send, recv []flow.Endpoint) {
-			plan := tcpnet.Plan{Workers: 2, Stages: []string{stage}, Owners: []int{1}}
-			recvNode, err := tcpnet.NewNode(1, plan, "")
-			if err != nil {
-				t.Fatal(err)
-			}
-			recvNode.SetLogf(func(string, ...any) {})
-			sendNode, err := tcpnet.NewNode(0, plan, "")
-			if err != nil {
-				recvNode.Close()
-				t.Fatal(err)
-			}
-			sendNode.SetLogf(func(string, ...any) {})
-			sendNode.SetWire(wire)
-			recvNode.SetWire(wire)
-			addrs := []string{sendNode.DataAddr(), recvNode.DataAddr()}
-			sendNode.SetAddrs(addrs)
-			recvNode.SetAddrs(addrs)
-			t.Cleanup(func() {
-				sendNode.Close()
-				recvNode.Close()
-			})
-			return sendNode.Transport().Edge(stage, parallelism, buf),
-				recvNode.Transport().Edge(stage, parallelism, buf)
-		},
+// tcpNodes builds a sender (worker 0) and a receiver (worker 1, owning
+// stage) connected over loopback, silenced and torn down with the test.
+func tcpNodes(t *testing.T, stage string) (send, recv *tcpnet.Node) {
+	plan := tcpnet.Plan{Workers: 2, Stages: []string{stage}, Owners: []int{1}}
+	recv, err := tcpnet.NewNode(1, plan, "")
+	if err != nil {
+		t.Fatal(err)
 	}
+	recv.SetLogf(func(string, ...any) {})
+	send, err = tcpnet.NewNode(0, plan, "")
+	if err != nil {
+		recv.Close()
+		t.Fatal(err)
+	}
+	send.SetLogf(func(string, ...any) {})
+	addrs := []string{send.DataAddr(), recv.DataAddr()}
+	send.SetAddrs(addrs)
+	recv.SetAddrs(addrs)
+	t.Cleanup(func() {
+		send.Close()
+		recv.Close()
+	})
+	return send, recv
 }
 
 // The TCP transport must satisfy the same endpoint contract as the
 // in-process channels: the suite runs each edge across two real nodes
 // (sender process-view and receiver process-view) connected over loopback
-// TCP, exercising the codec framing, demux FIFO, EOS close and socket
-// backpressure. It runs against the default fast path (coalescing writer,
-// columnar batches) — flush-on-barrier ordering and backpressure through
-// the writer queue are conformance cases — and against the legacy
-// write-per-frame row configuration, so both send paths stay pinned.
+// TCP, exercising the codec framing, demux FIFO, EOS close, socket
+// backpressure and the coalescing writer's flush triggers (barrier and
+// idle flush are conformance cases).
 func TestTCPConformance(t *testing.T) {
-	flowtest.Run(t, tcpHarness(tcpnet.DefaultWire()))
-}
-
-func TestTCPConformanceLegacyWire(t *testing.T) {
-	flowtest.Run(t, tcpHarness(tcpnet.LegacyWire()))
+	flowtest.Run(t, flowtest.Harness{
+		Edge: func(t *testing.T, stage string, parallelism, buf int) (send, recv []flow.Endpoint) {
+			s, r := tcpNodes(t, stage)
+			return s.Transport().Edge(stage, parallelism, buf), r.Transport().Edge(stage, parallelism, buf)
+		},
+	})
 }
 
 func TestRoundRobinPlan(t *testing.T) {

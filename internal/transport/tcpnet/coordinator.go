@@ -61,13 +61,6 @@ type ctrlMsg struct {
 	Spec   []byte   `json:"spec,omitempty"`
 	Addr   string   `json:"addr,omitempty"`
 	Addrs  []string `json:"addrs,omitempty"`
-	// MaxWire (hello) is the newest wire codec version the worker
-	// understands; absent (a pre-negotiation build) decodes as 0, the
-	// row-only framing, so mixed deployments degrade instead of breaking.
-	MaxWire int `json:"max_wire,omitempty"`
-	// Wire (plan) is the job-wide wire configuration, its Version already
-	// clamped to the minimum every process supports.
-	Wire *WireConfig `json:"wire,omitempty"`
 	// Restore maps "stage/subtask" to checkpointed operator state for the
 	// stages the receiving worker owns (resume-from-checkpoint only).
 	Restore map[string][]byte `json:"restore,omitempty"`
@@ -110,8 +103,6 @@ func readJSON(br *bufio.Reader, wantType string) (ctrlMsg, error) {
 type Coordinator struct {
 	lis      net.Listener
 	nWorkers int
-	wire     WireConfig
-	wireSet  bool
 	dataDisc func(stage, addr string, err error)
 
 	node      *Node
@@ -148,14 +139,6 @@ func NewCoordinator(addr string, workers int) (*Coordinator, error) {
 
 // Addr returns the control listener address workers join.
 func (c *Coordinator) Addr() string { return c.lis.Addr().String() }
-
-// SetWire overrides the wire configuration the coordinator proposes for
-// the job (default DefaultWire). Call before Run; the version actually
-// used is the minimum of this and what every worker's hello reports.
-func (c *Coordinator) SetWire(cfg WireConfig) {
-	c.wire = cfg.withDefaults()
-	c.wireSet = true
-}
 
 // SetDataDisconnectHook installs the peer-disconnect receiver for the
 // driver's inbound data edges (see Node.SetDisconnectHook). Call before
@@ -237,34 +220,22 @@ func (c *Coordinator) Run(stages []string, spec []byte, restore map[string][]byt
 			w.conn.Close()
 		}
 	}()
-	if !c.wireSet {
-		c.wire = DefaultWire()
-	}
-	minVer := c.wire.Version
 	for len(workers) < c.nWorkers {
 		conn, err := c.lis.Accept()
 		if err != nil {
 			return fmt.Errorf("tcpnet: accept worker: %w", err)
 		}
 		br := bufio.NewReader(conn)
-		hello, err := readJSON(br, "hello")
-		if err != nil {
+		if _, err := readJSON(br, "hello"); err != nil {
 			conn.Close()
 			return fmt.Errorf("tcpnet: worker hello: %w", err)
-		}
-		// A hello without MaxWire is a pre-negotiation worker: version 0.
-		if hello.MaxWire < minVer {
-			minVer = hello.MaxWire
 		}
 		c.workerEvent("connect", len(workers), conn.RemoteAddr().String())
 		workers = append(workers, joined{conn, br})
 	}
-	wire := c.wire
-	wire.Version = minVer
-	c.wire = wire
 	for i, w := range workers {
 		p := plan
-		m := ctrlMsg{Type: "plan", Worker: i, Plan: &p, Spec: spec, Wire: &wire}
+		m := ctrlMsg{Type: "plan", Worker: i, Plan: &p, Spec: spec}
 		if len(restore) > 0 {
 			// Ship only the state of stages this worker owns.
 			m.Restore = make(map[string][]byte)
@@ -302,7 +273,6 @@ func (c *Coordinator) Run(stages []string, spec []byte, restore map[string][]byt
 	if err != nil {
 		return err
 	}
-	node.SetWire(wire)
 	if c.dataDisc != nil {
 		node.SetDisconnectHook(c.dataDisc)
 	}
@@ -338,7 +308,7 @@ func (c *Coordinator) readCtrl(worker int, addr string, br *bufio.Reader) {
 		}
 		switch ft {
 		case ctrlSink:
-			body, err := readLenBytes(br)
+			body, err := readLenBytes(br, maxFrameLen)
 			if err != nil {
 				c.doneCh <- fmt.Errorf("tcpnet: sink frame: %w", err)
 				return
@@ -381,7 +351,7 @@ func (c *Coordinator) readCtrl(worker int, addr string, br *bufio.Reader) {
 				c.doneCh <- fmt.Errorf("tcpnet: ack flag: %w", err)
 				return
 			}
-			body, err := readLenBytes(br)
+			body, err := readLenBytes(br, maxFrameLen)
 			if err != nil {
 				c.doneCh <- fmt.Errorf("tcpnet: ack body: %w", err)
 				return
@@ -405,7 +375,7 @@ func (c *Coordinator) readCtrl(worker int, addr string, br *bufio.Reader) {
 				c.sinkBar(id)
 			}
 		case ctrlMetrics:
-			body, err := readLenBytes(br)
+			body, err := readLenBytes(br, maxFrameLen)
 			if err != nil {
 				c.workerEvent("disconnect", worker, addr)
 				c.doneCh <- fmt.Errorf("tcpnet: metrics frame: %w", err)

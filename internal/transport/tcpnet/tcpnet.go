@@ -15,21 +15,17 @@
 // deadlock an unrelated edge sharing the socket.
 //
 // Messages cross the wire through the flow codec registry
-// (flow.AppendMessageWire/DecodeMessage), so every record type on a
-// networked edge must have a registered codec — which is exactly what
-// keeps the message vocabulary free of shared-heap pointers. Per-edge
-// framing:
+// (flow.AppendMessage/DecodeMessage), so every record type on a networked
+// edge must have a registered codec — which is exactly what keeps the
+// message vocabulary free of shared-heap pointers. Per-edge framing:
 //
-//	preamble: [len uvarint][stage name][wire version byte]
-//	data v0:  [0][subtask uvarint][len uvarint][encoded message]
-//	data v1+: [subtask<<2 uvarint][len uvarint][encoded message]
+//	preamble: [len uvarint][stage name][format byte = 0]
+//	data:     [0][subtask uvarint][len uvarint][encoded message]
 //	eos:      [1]                                (upstream stage finished)
-//	wmb:      [2][len uvarint][encoded watermark] (watermark broadcast,
-//	          delivered to every subtask queue; wire version >= 1 only)
 //
-// Version >= 1 merges the subtask into the type varint (low two bits
-// zero mark a data frame), so the typical data frame costs one header
-// byte plus the length.
+// There is one format: the receiver rejects any other format byte, and a
+// preamble whose stage name is longer than maxStageName is dropped before
+// anything is allocated for it.
 //
 // TCP gives FIFO per connection; the demultiplexer preserves it per
 // subtask queue, which is the ordering contract the flow runtime's
@@ -41,24 +37,18 @@
 //
 // Senders encode frames inline, under the edge's mutex, into a shared
 // pending buffer; the buffer reaches the socket in one Write per *flush*,
-// not per frame. The flush policy (see WireConfig): when the pending
-// buffer crosses CoalesceBytes, on every barrier frame (checkpoint
+// not per frame. The flush policy is fixed: when the pending buffer
+// crosses coalesceBytes (64 KiB), on every barrier frame (checkpoint
 // alignment never waits for batching), when a watermark broadcast
 // completes (the collector sends a watermark to all par subtasks
 // back-to-back; only the last one flushes), and otherwise by a background
-// flusher every FlushMicros — the hard latency bound for data frames that
-// no other trigger follows (flush-on-idle: latency is never traded for
-// batching). Backpressure is preserved: a sender blocks in conn.Write
-// while holding the edge mutex when the receiver stops draining, stalling
-// every subtask of the edge exactly like the pre-coalescing path.
-//
-// A complete watermark broadcast is additionally peephole-rewritten on the
-// wire: when the pending buffer ends with the same watermark framed for
-// subtasks 0..par-1 in ascending order, those par frames are replaced by
-// one wmb frame that the receiver fans out to every subtask queue. The
-// rewrite never reorders anything — it only fires when the run is the
-// buffer tail — so per-queue FIFO delivery is byte-for-byte what the
-// unrewritten frames would have produced.
+// flusher every flushInterval (1 ms) — the hard latency bound for data
+// frames that no other trigger follows (flush-on-idle: latency is never
+// traded for batching). Edge connections keep Go's default TCP_NODELAY
+// (the pending buffer replaces Nagle batching without its ack-bound
+// latency) and the OS default socket buffers. Backpressure is preserved: a
+// sender blocks in conn.Write while holding the edge mutex when the
+// receiver stops draining, stalling every subtask of the edge.
 //
 // The transport is fail-fast: an I/O error on an established edge panics
 // the process rather than silently dropping records; a distributed run is
@@ -82,7 +72,6 @@ import (
 	"time"
 
 	"repro/internal/flow"
-	"repro/internal/model"
 )
 
 // Startup dial retry policy: process launch order is not coordinated (a
@@ -117,78 +106,17 @@ func dialRetry(addr string, total time.Duration) (net.Conn, error) {
 	}
 }
 
-// WireVersionMax is the newest codec version this build understands.
-// Version 0 is the original row-only framing; version 1 adds the columnar
-// batch runs (flow.AppendMessageWire). The JSON handshake negotiates the
-// minimum across the coordinator and every worker, so mixed deployments
-// fall back to row encoding job-wide and old and new processes never
-// mismatch; decoders always accept both layouts.
-const WireVersionMax = 1
-
-// WireConfig tunes the data plane. It is a deployment knob: it never
-// changes what bytes mean, only how they are packed and flushed, so it is
-// absent from the checkpoint fingerprint and safe to vary across a resume.
-type WireConfig struct {
-	// Version is the codec version frames are encoded with: >= 1 enables
-	// the columnar batch encodings. Clamped to the handshake-negotiated
-	// minimum in distributed runs.
-	Version int `json:"version"`
-	// Coalesce buffers frames per edge and writes once per flush. When
-	// false the edge writes one frame per syscall (the pre-coalescing
-	// behavior, kept as the wire benchmark baseline and escape hatch).
-	Coalesce bool `json:"coalesce"`
-	// CoalesceBytes is the pending-buffer watermark that forces a flush
-	// mid-burst (default 64 KiB).
-	CoalesceBytes int `json:"coalesce_bytes,omitempty"`
-	// FlushMicros is the background flusher's period in microseconds
-	// (default 1000): the upper bound on how long a buffered frame can sit
-	// before reaching the socket when no watermark, barrier or size
-	// trigger flushes it first.
-	FlushMicros int `json:"flush_micros,omitempty"`
-	// NoDelay sets TCP_NODELAY on edge connections (default true: the
-	// coalescing buffer replaces Nagle batching without its ack-bound
-	// latency; false re-enables Nagle).
-	NoDelay bool `json:"no_delay"`
-	// SendBuf/RecvBuf set the socket send/receive buffer sizes in bytes
-	// (0 keeps the OS default).
-	SendBuf int `json:"send_buf,omitempty"`
-	RecvBuf int `json:"recv_buf,omitempty"`
-}
-
-// DefaultWire is the fast-path configuration: newest codec version,
-// coalescing on with a 64 KiB watermark, TCP_NODELAY set.
-func DefaultWire() WireConfig {
-	return WireConfig{
-		Version:       WireVersionMax,
-		Coalesce:      true,
-		CoalesceBytes: 64 << 10,
-		FlushMicros:   1000,
-		NoDelay:       true,
-	}
-}
-
-// LegacyWire is the pre-fast-path configuration: row-only framing, one
-// Write per frame. Used when a handshake peer predates the negotiation
-// and as the wire benchmark baseline.
-func LegacyWire() WireConfig {
-	return WireConfig{Version: 0, Coalesce: false, NoDelay: true}
-}
-
-func (w WireConfig) withDefaults() WireConfig {
-	if w.CoalesceBytes <= 0 {
-		w.CoalesceBytes = 64 << 10
-	}
-	if w.FlushMicros <= 0 {
-		w.FlushMicros = 1000
-	}
-	if w.Version > WireVersionMax {
-		w.Version = WireVersionMax
-	}
-	if w.Version < 0 {
-		w.Version = 0
-	}
-	return w
-}
+// Data-plane constants. A pending buffer is flushed once it holds
+// coalesceBytes, and otherwise at the background flusher's next tick
+// (every flushInterval). maxStageName bounds the preamble, which is read
+// off any connection to a worker's data listener before anything
+// identifies the peer; maxFrameLen bounds every other length prefix.
+const (
+	coalesceBytes = 64 << 10
+	flushInterval = time.Millisecond
+	maxStageName  = 1 << 10
+	maxFrameLen   = 1 << 31
+)
 
 // Package-wide wire counters, aggregated across every edge of every Node
 // in the process. The bench harness snapshots them around a run to report
@@ -283,11 +211,10 @@ type Node struct {
 	me   int
 	plan Plan
 	lis  net.Listener
-	logf func(string, ...any)
 
 	mu           sync.Mutex
 	cond         *sync.Cond
-	wire         WireConfig
+	logf         func(string, ...any)
 	onDisconnect func(stage, addr string, err error)
 	recv         map[string][]*recvEndpoint
 	out          map[string]*senderGroup
@@ -298,9 +225,7 @@ type Node struct {
 // NewNode builds the data plane for worker me (or DriverID) under plan,
 // opening a data listener on listenAddr (default "127.0.0.1:0") when me
 // owns at least one stage. Call SetAddrs once every worker's listener
-// address is known, before the pipeline starts sending. The wire
-// configuration defaults to DefaultWire; override with SetWire before the
-// pipeline starts sending.
+// address is known, before the pipeline starts sending.
 func NewNode(me int, plan Plan, listenAddr string) (*Node, error) {
 	if err := plan.validate(); err != nil {
 		return nil, err
@@ -309,7 +234,6 @@ func NewNode(me int, plan Plan, listenAddr string) (*Node, error) {
 		me:     me,
 		plan:   plan,
 		logf:   log.Printf,
-		wire:   DefaultWire(),
 		recv:   make(map[string][]*recvEndpoint),
 		out:    make(map[string]*senderGroup),
 		aconns: make(map[net.Conn]struct{}),
@@ -345,21 +269,6 @@ func (n *Node) SetAddrs(addrs []string) {
 	n.mu.Unlock()
 }
 
-// SetWire installs the wire configuration (normally the
-// handshake-negotiated one). Call before the pipeline starts sending.
-func (n *Node) SetWire(cfg WireConfig) {
-	n.mu.Lock()
-	n.wire = cfg.withDefaults()
-	n.mu.Unlock()
-}
-
-// Wire returns the active wire configuration.
-func (n *Node) Wire() WireConfig {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.wire
-}
-
 // SetDisconnectHook installs the receiver for classified peer disconnects
 // on inbound data edges: EOF or a connection reset mid-stream (a torn
 // length prefix at teardown) fires the hook with the edge's stage and the
@@ -373,7 +282,20 @@ func (n *Node) SetDisconnectHook(fn func(stage, addr string, err error)) {
 }
 
 // SetLogf overrides the error logger (tests silence it).
-func (n *Node) SetLogf(f func(string, ...any)) { n.logf = f }
+func (n *Node) SetLogf(f func(string, ...any)) {
+	n.mu.Lock()
+	n.logf = f
+	n.mu.Unlock()
+}
+
+// log reports through the installed logger; demux goroutines call it
+// concurrently with SetLogf.
+func (n *Node) log(format string, args ...any) {
+	n.mu.Lock()
+	f := n.logf
+	n.mu.Unlock()
+	f(format, args...)
+}
 
 // Transport returns the node as a flow.Transport.
 func (n *Node) Transport() flow.Transport { return n }
@@ -407,7 +329,7 @@ func (n *Node) Edge(stage string, parallelism, buf int) []flow.Endpoint {
 		n.mu.Unlock()
 		return eps
 	}
-	g := &senderGroup{node: n, stage: stage, owner: owner, par: parallelism, wire: n.Wire(), wmStart: -1}
+	g := &senderGroup{node: n, stage: stage, owner: owner, par: parallelism}
 	n.mu.Lock()
 	n.out[stage] = g
 	n.mu.Unlock()
@@ -467,13 +389,7 @@ func (n *Node) acceptLoop() {
 			return
 		}
 		n.aconns[conn] = struct{}{}
-		recvBuf := n.wire.RecvBuf
 		n.mu.Unlock()
-		if recvBuf > 0 {
-			if tc, ok := conn.(*net.TCPConn); ok {
-				_ = tc.SetReadBuffer(recvBuf)
-			}
-		}
 		go n.demux(conn)
 	}
 }
@@ -489,16 +405,10 @@ func (n *Node) recvWait(stage string) []*recvEndpoint {
 	return n.recv[stage]
 }
 
-// Frame types on data connections. Version-0 data frames spell the
-// subtask in a second uvarint: [frameData][subtask][len][body]. Version >= 1
-// merges the subtask into the type varint — a data frame's type value is
-// subtask<<2 (the low two bits are zero), so the common single-digit
-// subtasks cost one byte total and frameData doubles as "data for
-// subtask 0".
+// Frame types on data connections.
 const (
 	frameData = 0
 	frameEOS  = 1
-	frameWMB  = 2 // watermark broadcast (wire version >= 1)
 )
 
 // isDisconnect classifies I/O errors that mean the peer went away (or the
@@ -521,7 +431,7 @@ func (n *Node) notifyDisconnect(stage string, conn net.Conn, err error) {
 	if ra := conn.RemoteAddr(); ra != nil {
 		addr = ra.String()
 	}
-	n.logf("tcpnet: edge %s: peer %s disconnected: %v", stage, addr, err)
+	n.log("tcpnet: edge %s: peer %s disconnected: %v", stage, addr, err)
 	n.mu.Lock()
 	fn := n.onDisconnect
 	n.mu.Unlock()
@@ -543,15 +453,15 @@ func (n *Node) demux(conn net.Conn) {
 		n.mu.Unlock()
 	}()
 	br := bufio.NewReaderSize(conn, 64<<10)
-	stageB, err := readLenBytes(br)
+	stageB, err := readLenBytes(br, maxStageName)
 	if err != nil {
-		n.logf("tcpnet: %v: preamble: %v", conn.RemoteAddr(), err)
+		n.log("tcpnet: %v: preamble: %v", conn.RemoteAddr(), err)
 		return
 	}
 	stage := string(stageB)
-	ver, err := br.ReadByte()
+	frameFormat, err := br.ReadByte()
 	if err != nil {
-		n.logf("tcpnet: %v: preamble version: %v", conn.RemoteAddr(), err)
+		n.log("tcpnet: %v: preamble format: %v", conn.RemoteAddr(), err)
 		return
 	}
 	// Once the edge is established, any failure before a clean EOS is
@@ -566,8 +476,8 @@ func (n *Node) demux(conn net.Conn) {
 		}
 		panic(fmt.Sprintf("tcpnet: edge %s: %s", stage, fmt.Sprintf(format, args...)))
 	}
-	if int(ver) > WireVersionMax {
-		fatal("peer wire version %d exceeds supported %d (handshake negotiation bypassed?)", ver, WireVersionMax)
+	if frameFormat != 0 {
+		fatal("unknown wire format %d", frameFormat)
 		return
 	}
 	queues := n.recvWait(stage)
@@ -579,7 +489,7 @@ func (n *Node) demux(conn net.Conn) {
 	// buffer; the caller classifies the error.
 	readBody := func() error {
 		ln, err := binary.ReadUvarint(br)
-		if err == nil && ln > 1<<31 {
+		if err == nil && ln > maxFrameLen {
 			return fmt.Errorf("frame length %d exceeds limit", ln)
 		}
 		if err == nil {
@@ -602,47 +512,17 @@ func (n *Node) demux(conn net.Conn) {
 			fatal("frame: %v", err)
 			return
 		}
-		if ver >= 1 && ft&3 == 0 {
-			// Merged data frame: the subtask rides in the type varint.
-			subtask := ft >> 2
-			if subtask >= uint64(len(queues)) {
-				fatal("subtask %d of %d", subtask, len(queues))
-				return
-			}
-			if err := readBody(); err != nil {
-				if isDisconnect(err) {
-					n.notifyDisconnect(stage, conn, err)
-					fatal("peer disconnected mid-frame (torn length prefix): %v", err)
-					return
-				}
-				fatal("body: %v", err)
-				return
-			}
-			m, err := flow.DecodeMessage(body)
-			if err != nil {
-				fatal("decode: %v", err)
-				return
-			}
-			queues[subtask].Send(m)
-			continue
-		}
 		switch ft {
 		case frameData:
 			subtask, err := binary.ReadUvarint(br)
-			if err != nil {
-				if isDisconnect(err) {
-					n.notifyDisconnect(stage, conn, err)
-					fatal("peer disconnected mid-frame: %v", err)
-					return
-				}
-				fatal("subtask: %v", err)
-				return
-			}
-			if subtask >= uint64(len(queues)) {
+			if err == nil && subtask >= uint64(len(queues)) {
 				fatal("subtask %d of %d", subtask, len(queues))
 				return
 			}
-			if err := readBody(); err != nil {
+			if err == nil {
+				err = readBody()
+			}
+			if err != nil {
 				// A torn length prefix or truncated body at connection
 				// teardown is a peer disconnect, not stream corruption.
 				if isDisconnect(err) {
@@ -650,7 +530,7 @@ func (n *Node) demux(conn net.Conn) {
 					fatal("peer disconnected mid-frame (torn length prefix): %v", err)
 					return
 				}
-				fatal("body: %v", err)
+				fatal("frame: %v", err)
 				return
 			}
 			m, err := flow.DecodeMessage(body)
@@ -659,32 +539,6 @@ func (n *Node) demux(conn net.Conn) {
 				return
 			}
 			queues[subtask].Send(m)
-		case frameWMB:
-			if ver < 1 {
-				fatal("watermark broadcast frame from version-%d peer", ver)
-				return
-			}
-			if err := readBody(); err != nil {
-				if isDisconnect(err) {
-					n.notifyDisconnect(stage, conn, err)
-					fatal("peer disconnected mid-frame (torn length prefix): %v", err)
-					return
-				}
-				fatal("body: %v", err)
-				return
-			}
-			m, err := flow.DecodeMessage(body)
-			if err != nil {
-				fatal("decode: %v", err)
-				return
-			}
-			if !m.IsWM {
-				fatal("broadcast frame carrying a non-watermark message")
-				return
-			}
-			for _, q := range queues {
-				q.Send(m)
-			}
 		case frameEOS:
 			// The upstream stage has finished entirely: end every subtask
 			// queue. Buffered messages stay receivable.
@@ -699,10 +553,15 @@ func (n *Node) demux(conn net.Conn) {
 	}
 }
 
-func readLenBytes(br *bufio.Reader) ([]byte, error) {
+// readLenBytes reads one [len uvarint][bytes] field, refusing lengths
+// above limit before allocating: the prefix comes off the network.
+func readLenBytes(br *bufio.Reader, limit uint64) ([]byte, error) {
 	ln, err := binary.ReadUvarint(br)
 	if err != nil {
 		return nil, err
+	}
+	if ln > limit {
+		return nil, fmt.Errorf("length %d exceeds limit %d", ln, limit)
 	}
 	b := make([]byte, ln)
 	if _, err := io.ReadFull(br, b); err != nil {
@@ -745,22 +604,19 @@ func (e *recvEndpoint) SendBlocks() int64 { return e.blocked.Load() }
 
 // senderGroup is the outbound side of one edge: all subtask endpoints
 // share one connection to the owning worker. Senders encode inline under
-// the group mutex into a shared pending buffer; in coalescing mode the
-// buffer is only written out when a frame demands it (watermark, barrier,
-// EOS — alignment and checkpoint latency never wait for batching), when
-// it crosses CoalesceBytes, or by the background flusher's tick, so a
-// burst of data frames costs one syscall instead of one each. In legacy
-// mode every frame flushes immediately (one Write per frame). Blocking in
-// conn.Write while holding the mutex is the edge's backpressure: an
-// undrained receiver stalls every subtask of the edge, exactly like the
-// pre-coalescing path. EOS is emitted once the runtime has closed every
-// subtask endpoint of the edge.
+// the group mutex into a shared pending buffer, which is only written out
+// when a frame demands it (watermark, barrier, EOS — alignment and
+// checkpoint latency never wait for batching), when it crosses
+// coalesceBytes, or by the background flusher's tick, so a burst of data
+// frames costs one syscall instead of one each. Blocking in conn.Write
+// while holding the mutex is the edge's backpressure: an undrained
+// receiver stalls every subtask of the edge. EOS is emitted once the
+// runtime has closed every subtask endpoint of the edge.
 type senderGroup struct {
 	node  *Node
 	stage string
 	owner int
 	par   int
-	wire  WireConfig
 
 	mu      sync.Mutex
 	conn    net.Conn
@@ -773,16 +629,6 @@ type senderGroup struct {
 	down    bool // no more sends accepted (clean close or teardown)
 	dead    bool // teardown: connection torn, frames may be dropped
 	wg      sync.WaitGroup
-
-	// Watermark-broadcast peephole state: a run of identical watermark
-	// frames for subtasks 0..par-1 sitting at the tail of the pending
-	// buffer is rewritten into one frameWMB. wmStart is the buffer offset
-	// where the run began (-1: no live run), wmNext the subtask expected
-	// to extend it.
-	wmStart int
-	wmNext  int
-	wmFrom  int
-	wmTick  model.Tick
 
 	bytes   atomic.Int64
 	flushes atomic.Int64
@@ -806,16 +652,10 @@ func (g *senderGroup) dialLocked() {
 	if err != nil {
 		panic(fmt.Sprintf("tcpnet: dial edge %q: %v", g.stage, err))
 	}
-	if tc, ok := conn.(*net.TCPConn); ok {
-		_ = tc.SetNoDelay(g.wire.NoDelay)
-		if g.wire.SendBuf > 0 {
-			_ = tc.SetWriteBuffer(g.wire.SendBuf)
-		}
-	}
 	g.conn = conn
 	g.buf = binary.AppendUvarint(g.buf[:0], uint64(len(g.stage)))
 	g.buf = append(g.buf, g.stage...)
-	g.buf = append(g.buf, byte(g.wire.Version))
+	g.buf = append(g.buf, 0) // format byte: the row framing above
 	g.writeLocked()
 }
 
@@ -826,7 +666,6 @@ func (g *senderGroup) dialLocked() {
 func (g *senderGroup) writeLocked() {
 	buf := g.buf
 	g.buf = buf[:0]
-	g.wmStart = -1 // buffer offsets are invalid once it drains
 	if g.conn == nil || len(buf) == 0 {
 		return
 	}
@@ -842,34 +681,29 @@ func (g *senderGroup) writeLocked() {
 	wireFlushes.Add(1)
 }
 
-// appendFrame encodes one data frame for subtask onto buf.
-func (g *senderGroup) appendFrame(buf []byte, subtask int, m flow.Message, pbuf *[]byte) []byte {
+// appendFrame encodes one data frame for subtask onto the pending buffer.
+// The message is encoded into the reused scratch first, since its length
+// prefix precedes it.
+func (g *senderGroup) appendFrame(subtask int, m flow.Message) {
 	var err error
-	*pbuf, err = flow.AppendMessageWire((*pbuf)[:0], m, g.wire.Version >= 1)
+	g.pbuf, err = flow.AppendMessage(g.pbuf[:0], m)
 	if err != nil {
 		panic(fmt.Sprintf("tcpnet: encode for edge %q: %v", g.stage, err))
 	}
-	if g.wire.Version >= 1 {
-		buf = binary.AppendUvarint(buf, uint64(subtask)<<2)
-	} else {
-		buf = binary.AppendUvarint(buf, frameData)
-		buf = binary.AppendUvarint(buf, uint64(subtask))
-	}
-	buf = binary.AppendUvarint(buf, uint64(len(*pbuf)))
-	buf = append(buf, *pbuf...)
+	g.buf = binary.AppendUvarint(g.buf, frameData)
+	g.buf = binary.AppendUvarint(g.buf, uint64(subtask))
+	g.buf = binary.AppendUvarint(g.buf, uint64(len(g.pbuf)))
+	g.buf = append(g.buf, g.pbuf...)
 	g.frames.Add(1)
 	wireFrames.Add(1)
-	return buf
 }
 
-// send encodes one frame into the pending buffer and flushes according to
-// the wire policy: legacy mode flushes every frame; coalescing mode
-// flushes on barrier frames, on the last subtask of a watermark broadcast
-// (the collector sends watermarks to subtasks 0..par-1 back-to-back, so
-// alignment and propagation latency never wait for batching) and when the
-// buffer crosses CoalesceBytes, leaving everything else to the background
-// flusher. A complete same-watermark run over all subtasks is rewritten
-// into one frameWMB before it flushes (see the package comment).
+// send encodes one frame into the pending buffer and flushes on barrier
+// frames, on the last subtask of a watermark broadcast (the collector
+// sends watermarks to subtasks 0..par-1 back-to-back, so alignment and
+// propagation latency never wait for batching) and when the buffer
+// crosses coalesceBytes, leaving everything else to the background
+// flusher.
 func (g *senderGroup) send(subtask int, m flow.Message) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -880,49 +714,11 @@ func (g *senderGroup) send(subtask int, m flow.Message) {
 		panic(fmt.Sprintf("tcpnet: send on closed edge %q", g.stage))
 	}
 	g.dialLocked()
-	if g.wire.Coalesce {
-		g.startFlusherLocked()
-	}
-	if m.IsWM && g.wire.Coalesce && g.wire.Version >= 1 {
-		if subtask == 0 {
-			g.wmStart, g.wmNext, g.wmFrom, g.wmTick = len(g.buf), 0, m.From, m.WM
-		}
-		if g.wmStart >= 0 && subtask == g.wmNext && m.From == g.wmFrom && m.WM == g.wmTick {
-			g.wmNext++
-		} else {
-			g.wmStart = -1
-		}
-	} else {
-		g.wmStart = -1
-	}
-	g.buf = g.appendFrame(g.buf, subtask, m, &g.pbuf)
-	if g.wmStart >= 0 && g.wmNext == g.par {
-		// The buffer tail is this watermark framed for every subtask in
-		// ascending order: replace the run with one broadcast frame.
-		g.buf = g.appendWMB(g.buf[:g.wmStart], m, &g.pbuf)
-		g.frames.Add(-int64(g.par))
-		wireFrames.Add(-int64(g.par))
-		g.wmStart = -1
-	}
-	if !g.wire.Coalesce || m.IsBarrier || (m.IsWM && subtask == g.par-1) ||
-		len(g.buf) >= g.wire.CoalesceBytes {
+	g.startFlusherLocked()
+	g.appendFrame(subtask, m)
+	if m.IsBarrier || (m.IsWM && subtask == g.par-1) || len(g.buf) >= coalesceBytes {
 		g.writeLocked()
 	}
-}
-
-// appendWMB encodes one watermark-broadcast frame onto buf.
-func (g *senderGroup) appendWMB(buf []byte, m flow.Message, pbuf *[]byte) []byte {
-	var err error
-	*pbuf, err = flow.AppendMessageWire((*pbuf)[:0], m, g.wire.Version >= 1)
-	if err != nil {
-		panic(fmt.Sprintf("tcpnet: encode for edge %q: %v", g.stage, err))
-	}
-	buf = binary.AppendUvarint(buf, frameWMB)
-	buf = binary.AppendUvarint(buf, uint64(len(*pbuf)))
-	buf = append(buf, *pbuf...)
-	g.frames.Add(1)
-	wireFrames.Add(1)
-	return buf
 }
 
 // startFlusherLocked launches the background flusher once.
@@ -933,7 +729,7 @@ func (g *senderGroup) startFlusherLocked() {
 	g.started = true
 	g.done = make(chan struct{})
 	g.wg.Add(1)
-	go g.flusher(time.Duration(g.wire.FlushMicros) * time.Microsecond)
+	go g.flusher(flushInterval)
 }
 
 // flusher ships whatever send left in the pending buffer every interval:

@@ -45,7 +45,7 @@ func JoinWorker(coordAddr string) (*Worker, error) {
 		conn.Close()
 		return nil, err
 	}
-	if err := writeJSON(conn, ctrlMsg{Type: "hello", MaxWire: WireVersionMax}); err != nil {
+	if err := writeJSON(conn, ctrlMsg{Type: "hello"}); err != nil {
 		return fail(fmt.Errorf("tcpnet: hello: %w", err))
 	}
 	m, err := readJSON(w.br, "plan")
@@ -59,14 +59,6 @@ func JoinWorker(coordAddr string) (*Worker, error) {
 	node, err := NewNode(w.id, w.plan, "")
 	if err != nil {
 		return fail(err)
-	}
-	// A plan without a wire config comes from a pre-negotiation
-	// coordinator: fall back to the row-only, write-per-frame behavior it
-	// expects.
-	if m.Wire != nil {
-		node.SetWire(*m.Wire)
-	} else {
-		node.SetWire(LegacyWire())
 	}
 	w.node = node
 	if err := writeJSON(conn, ctrlMsg{Type: "ready", Addr: node.DataAddr()}); err != nil {
@@ -94,9 +86,6 @@ func (w *Worker) Transport() flow.Transport { return w.node.Transport() }
 
 // LocalStage is the flow.Config.Local function for this worker's pipeline.
 func (w *Worker) LocalStage(i int) bool { return w.node.LocalStage(i) }
-
-// Wire returns the handshake-negotiated wire configuration.
-func (w *Worker) Wire() WireConfig { return w.node.Wire() }
 
 // SetDisconnectHook installs the peer-disconnect receiver for this
 // worker's inbound data edges (see Node.SetDisconnectHook). Call before
