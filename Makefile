@@ -54,8 +54,8 @@ bench-json:
 
 # fuzz runs each codec fuzz target briefly (the committed seed corpus
 # already runs on every `make test`): the ops/msg wire codecs, the
-# key-group state codecs the checkpoint files are built from (full and
-# incremental framing), and the paged store's page-directory codec.
+# key-group state codec the checkpoint files are built from, and the TRJ1
+# trajectory decoder behind netsrc.
 fuzz:
 	$(GO) test ./internal/ops/msg -fuzz FuzzDecodePayload -fuzztime 30s
 	$(GO) test ./internal/ops/msg -fuzz FuzzDecodeMessage -fuzztime 30s
@@ -65,8 +65,7 @@ fuzz:
 	$(GO) test ./internal/ops/msg -fuzz FuzzCellDeltaRoundTrip -fuzztime 30s
 	$(GO) test ./internal/ops/msg -fuzz FuzzPairDeltaRoundTrip -fuzztime 30s
 	$(GO) test ./internal/flow -fuzz FuzzDecodeGroupStates -fuzztime 30s
-	$(GO) test ./internal/flow -fuzz FuzzDecodeGroupDeltas -fuzztime 30s
-	$(GO) test ./internal/ckpt -fuzz FuzzDecodePageDir -fuzztime 30s
+	$(GO) test ./internal/trajio -fuzz FuzzBinReader -fuzztime 30s
 
 # obs-check boots the observability-instrumented pipeline, scrapes its
 # /metrics endpoint over real HTTP, strict-parses the Prometheus text

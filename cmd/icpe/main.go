@@ -103,10 +103,6 @@ func main() {
 	ckptDir := flag.String("checkpoint-dir", "", "enable aligned-barrier checkpointing into this directory")
 	ckptInterval := flag.Int("checkpoint-interval", 32, "snapshots (with -source-partitions: ticks) between checkpoints (with -checkpoint-dir)")
 	resume := flag.Bool("resume", false, "restore from the latest checkpoint in -checkpoint-dir and replay the source from the cut")
-	ckptAsync := flag.Bool("checkpoint-async", false, "encode and upload snapshots on a background goroutine instead of the barrier path")
-	ckptDelta := flag.Bool("checkpoint-delta", false, "incremental checkpoints: persist only key groups dirtied since the previous cut")
-	ckptCompact := flag.Int("checkpoint-compact", 0, "delta-chain length that triggers background compaction into a full base (0 = store default; with -checkpoint-delta)")
-	ckptPaged := flag.Bool("checkpoint-paged", false, "store checkpoint state in a paged blob file (fixed-size pages + free list)")
 	metricsAddr := flag.String("metrics-addr", "", "serve Prometheus /metrics, /healthz, /readyz and pprof on this address (e.g. 127.0.0.1:9090); in tcp mode the coordinator's scrape aggregates every worker")
 	eventLogPath := flag.String("event-log", "", "append structured JSON event records (checkpoints, restores, rescales, worker membership) to this file")
 	flag.Parse()
@@ -166,9 +162,6 @@ func main() {
 	if *resume && *ckptDir == "" {
 		log.Fatal("icpe: -resume needs -checkpoint-dir")
 	}
-	if *ckptDir == "" && (*ckptAsync || *ckptDelta || *ckptPaged || *ckptCompact != 0) {
-		log.Fatal("icpe: -checkpoint-async/-checkpoint-delta/-checkpoint-compact/-checkpoint-paged need -checkpoint-dir")
-	}
 	out := bufio.NewWriter(os.Stdout)
 	defer out.Flush()
 	cfg := core.Config{
@@ -194,10 +187,6 @@ func main() {
 		cfg.CheckpointDir = *ckptDir
 		cfg.CheckpointInterval = *ckptInterval
 		cfg.Resume = *resume
-		cfg.CheckpointAsync = *ckptAsync
-		cfg.CheckpointDelta = *ckptDelta
-		cfg.CheckpointCompact = *ckptCompact
-		cfg.CheckpointPaged = *ckptPaged
 		if !*quiet {
 			// With checkpointing, output commits exactly once: patterns are
 			// withheld until the covering checkpoint is durable, then

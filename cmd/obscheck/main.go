@@ -41,7 +41,6 @@ var requiredFamilies = []string{
 	"icpe_checkpoint_upload_seconds_total",
 	"icpe_checkpoint_bytes_total",
 	"icpe_checkpoint_cuts_total",
-	"icpe_checkpoint_chain_length",
 	"icpe_latency_seconds",
 	"icpe_completion_latency_seconds",
 }

@@ -177,8 +177,10 @@ type Options struct {
 	// CheckpointDir enables aligned-barrier checkpointing of all operator
 	// state into this directory; with CheckpointResume set, the detector
 	// restores from the latest completed checkpoint and reports the ticks
-	// to skip via Detector.ResumeTick. See ARCHITECTURE.md for the
-	// checkpoint cut, recovery sequence, and store layout.
+	// to skip via Detector.ResumeTick. Every checkpoint is a full-state
+	// snapshot taken synchronously at the aligned barrier, and the
+	// directory keeps the two most recent ones. See ARCHITECTURE.md for
+	// the checkpoint cut, recovery sequence, and store layout.
 	CheckpointDir string
 	// CheckpointInterval is the barrier cadence in snapshots — with
 	// SourcePartitions > 0, in stream ticks, which is the same cadence
@@ -187,23 +189,6 @@ type Options struct {
 	// CheckpointResume restores from the latest completed checkpoint in
 	// CheckpointDir before processing (fresh start when none exists).
 	CheckpointResume bool
-	// CheckpointAsync takes snapshot encoding and the store upload off
-	// the processing path: subtasks capture cheap references at the
-	// barrier and a background goroutine encodes and persists them.
-	CheckpointAsync bool
-	// CheckpointDelta cuts incremental checkpoints — after the first full
-	// cut, each checkpoint persists only the key groups touched since the
-	// previous completed one, chained to its base. Restore is unchanged
-	// (the store replays the chain transparently).
-	CheckpointDelta bool
-	// CheckpointCompact is the delta-chain length that triggers background
-	// compaction into a new full base (0 uses the store default; requires
-	// CheckpointDelta).
-	CheckpointCompact int
-	// CheckpointPaged stores each checkpoint's state in a single paged
-	// blob file instead of one flat file, exercising the page-allocator
-	// layout (fixed-size pages + free list).
-	CheckpointPaged bool
 
 	// MetricsAddr, when non-empty, serves Prometheus text-format metrics
 	// (/metrics), health endpoints (/healthz, /readyz) and pprof for this
@@ -213,7 +198,7 @@ type Options struct {
 	MetricsAddr string
 	// EventLog, when set, receives the structured event log — one JSON
 	// object per line (checkpoint cuts/completions, restores, rescales,
-	// compactions). The writer is not closed by Detector.Close.
+	// worker membership). The writer is not closed by Detector.Close.
 	EventLog io.Writer
 }
 
@@ -294,16 +279,10 @@ func New(opts Options) (*Detector, error) {
 			cfg.CheckpointInterval = 32
 		}
 		cfg.Resume = opts.CheckpointResume
-		cfg.CheckpointAsync = opts.CheckpointAsync
-		cfg.CheckpointDelta = opts.CheckpointDelta
-		cfg.CheckpointCompact = opts.CheckpointCompact
-		cfg.CheckpointPaged = opts.CheckpointPaged
 	} else if opts.CheckpointResume {
 		// Silently starting fresh would make the caller replay its source
 		// from the beginning and duplicate all output.
 		return nil, fmt.Errorf("icpe: CheckpointResume requires CheckpointDir")
-	} else if opts.CheckpointAsync || opts.CheckpointDelta || opts.CheckpointPaged || opts.CheckpointCompact != 0 {
-		return nil, fmt.Errorf("icpe: checkpoint tuning options require CheckpointDir")
 	}
 	var obsSrv *obs.Server
 	if opts.MetricsAddr != "" {

@@ -45,18 +45,11 @@ type TransportRun struct {
 // CheckpointRun measures the aligned-barrier checkpointing overhead at one
 // interval on the in-process transport: the same workload as the plain
 // runs, with barriers injected every Interval snapshots and every operator
-// state snapshot written to a local-directory store. Sync full-state rows
-// are the oracle; async/delta rows measure the incremental path against
-// them.
+// state snapshot written to a local-directory store.
 type CheckpointRun struct {
 	// Interval is the checkpoint cadence in snapshots (0 rows never appear;
 	// the baseline is the plain inproc run).
 	Interval int `json:"interval"`
-	// Async marks rows where snapshot encoding + store upload ride a
-	// background goroutine; Delta marks incremental cuts (only key groups
-	// dirtied since the previous checkpoint are persisted).
-	Async bool `json:"async,omitempty"`
-	Delta bool `json:"delta,omitempty"`
 	// Completed is the highest checkpoint id that became durable during
 	// the run (aborted or superseded ids may be skipped, so this is an id,
 	// not a count).
@@ -68,11 +61,10 @@ type CheckpointRun struct {
 	// minimum-wall sample on both sides.
 	OverheadPct float64 `json:"overhead_pct"`
 	// Patterns counts the exactly-once committed patterns. Equal across
-	// every row at every interval and mode, or checkpointing altered
-	// results.
+	// every row at every interval, or checkpointing altered results.
 	Patterns int64 `json:"patterns"`
-	// Hot-path vs background split (cumulative milliseconds over the run):
-	// Capture is the barrier-handler stall, Encode is blob assembly,
+	// Cumulative milliseconds over the run: Capture is operator state
+	// capture, Encode is blob assembly (both inside the barrier handler),
 	// Upload is store persistence.
 	CaptureMs float64 `json:"capture_ms"`
 	EncodeMs  float64 `json:"encode_ms"`
@@ -81,15 +73,8 @@ type CheckpointRun struct {
 	// BytesPerCut divides it by the completed cuts.
 	StateBytes  int64   `json:"state_bytes"`
 	BytesPerCut float64 `json:"bytes_per_cut"`
-	// DeltaCuts/FullCuts count completed checkpoints by kind; ChainLen is
-	// the delta-chain length of the last completed checkpoint.
-	DeltaCuts int64 `json:"delta_cuts,omitempty"`
-	FullCuts  int64 `json:"full_cuts"`
-	ChainLen  int   `json:"chain_len,omitempty"`
-	// BytesVsFullPct is this row's StateBytes relative to the sync
-	// full-state row at the same interval (100 = no saving) — the
-	// delta-vs-base size ratio.
-	BytesVsFullPct float64 `json:"bytes_vs_full_pct,omitempty"`
+	// FullCuts counts completed checkpoints.
+	FullCuts int64 `json:"full_cuts"`
 }
 
 // RescaleRun measures one elastic rescale-from-checkpoint: a run at
@@ -392,7 +377,7 @@ func runPipelineTCP(d Dataset, cfg core.Config, workers int) (TransportRun, erro
 }
 
 // runPipelineCkpt measures one checkpoint-enabled in-process run
-// (interval and async/delta mode come in on cfg) against a PAIRED
+// (the interval comes in on cfg) against a PAIRED
 // baseline: samples alternate baseline / checkpointed, each from drained
 // writeback, and the overhead is min-vs-min. Interleaving is what makes
 // the percentage trustworthy on a shared box — load drifts over the
@@ -406,10 +391,6 @@ func runPipelineCkpt(d Dataset, cfg core.Config, interval int) (CheckpointRun, e
 	base := cfg
 	base.CheckpointDir = ""
 	base.CheckpointInterval = 0
-	base.CheckpointAsync = false
-	base.CheckpointDelta = false
-	base.CheckpointCompact = 0
-	base.CheckpointPaged = false
 	cfg.CheckpointInterval = interval
 	baseWall := 0.0
 	runs := make([]CheckpointRun, 0, samples)
@@ -473,8 +454,6 @@ func runPipelineCkptOnce(d Dataset, cfg core.Config, interval int) (CheckpointRu
 	}
 	run := CheckpointRun{
 		Interval:        interval,
-		Async:           cfg.CheckpointAsync,
-		Delta:           cfg.CheckpointDelta,
 		WallSeconds:     wall.Seconds(),
 		SnapshotsPerSec: res.Metrics.Report().ThroughputPerSec,
 		Patterns:        patterns,
@@ -482,12 +461,10 @@ func runPipelineCkptOnce(d Dataset, cfg core.Config, interval int) (CheckpointRu
 		EncodeMs:        float64(ck.Encode) / float64(time.Millisecond),
 		UploadMs:        float64(ck.Upload) / float64(time.Millisecond),
 		StateBytes:      ck.Bytes,
-		DeltaCuts:       ck.DeltaCuts,
 		FullCuts:        ck.FullCuts,
-		ChainLen:        ck.ChainLen,
 	}
-	if cuts := ck.DeltaCuts + ck.FullCuts; cuts > 0 {
-		run.BytesPerCut = float64(ck.Bytes) / float64(cuts)
+	if ck.FullCuts > 0 {
+		run.BytesPerCut = float64(ck.Bytes) / float64(ck.FullCuts)
 	}
 	if man != nil {
 		run.Completed = man.ID
@@ -1073,31 +1050,19 @@ func PipelineJSON(w io.Writer, seed int64, sc Scale) error {
 		return err
 	}
 	// Overhead vs interval: the default cadence plus a 4x more aggressive
-	// one, both against the plain inproc wall clock. Each interval runs
-	// the sync full-state oracle and the async+delta incremental path; the
-	// committed pattern counts must match and the delta rows report their
-	// size relative to the full-state oracle.
+	// one, both against the plain inproc wall clock; the committed pattern
+	// counts must match across intervals.
 	var ckptRuns []CheckpointRun
 	for _, interval := range []int{32, 8} {
-		full, err := runPipelineCkpt(d, cfg, interval)
+		run, err := runPipelineCkpt(d, cfg, interval)
 		if err != nil {
 			return err
 		}
-		acfg := cfg
-		acfg.CheckpointAsync = true
-		acfg.CheckpointDelta = true
-		incr, err := runPipelineCkpt(d, acfg, interval)
-		if err != nil {
-			return err
+		if len(ckptRuns) > 0 && run.Patterns != ckptRuns[0].Patterns {
+			return fmt.Errorf("bench: ckpt interval %d committed %d patterns, interval %d committed %d",
+				interval, run.Patterns, ckptRuns[0].Interval, ckptRuns[0].Patterns)
 		}
-		if incr.Patterns != full.Patterns {
-			return fmt.Errorf("bench: ckpt interval %d: async+delta committed %d patterns, sync committed %d",
-				interval, incr.Patterns, full.Patterns)
-		}
-		if full.StateBytes > 0 {
-			incr.BytesVsFullPct = float64(incr.StateBytes) / float64(full.StateBytes) * 100
-		}
-		ckptRuns = append(ckptRuns, full, incr)
+		ckptRuns = append(ckptRuns, run)
 	}
 	// Elastic rescale: scale out to double the parallelism mid-job, and
 	// back in, both resuming from a checkpoint.

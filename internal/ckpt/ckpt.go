@@ -31,21 +31,15 @@
 // durable (see core.Config.OnCommit), so a crash never publishes output
 // that a resumed run would derive again.
 //
-// # Asynchronous and incremental checkpoints
+// # Checkpoint policy
 //
-// Two optional refinements take snapshot work off the hot path. With async
-// snapshots (flow.Config.AsyncSnapshots) the barrier handler only captures
-// operator state; blob assembly and the coordinator ack run on a background
-// goroutine, and the commit simply lands when the last deferred ack does.
-// With delta checkpoints the driver injects barriers carrying a completed
-// base id, operators implementing DeltaSnapshotter persist only the key
-// groups dirtied since that base, and the manifest records the resulting
-// delta chain (base first). Restore replays the chain in order: full blobs
-// replace a subtask's state wholesale, delta blobs overwrite their dirty
-// groups and delete tombstoned ones. Chains never span a process restart —
-// the first checkpoint of a resumed job is always full — so every element
-// of one chain shares the topology, and rescaling only ever re-shards
-// merged full state.
+// There is one policy: every cut is a full-state snapshot taken
+// synchronously at the aligned barrier. Each subtask captures and encodes
+// its state inside the barrier handler and acks before forwarding the
+// barrier; the store persists one framed state file plus an atomically
+// renamed manifest per checkpoint and keeps the most recent ones by id.
+// Restoring a checkpoint therefore reads exactly one state file, and
+// rescaling re-slices its key-group frames.
 package ckpt
 
 import (
@@ -87,93 +81,6 @@ type Snapshotter interface {
 type GroupSnapshotter interface {
 	SnapshotGroups(group func(key uint64) int) (map[int][]byte, error)
 	RestoreGroup(data []byte) error
-}
-
-// DeltaSnapshotter is the incremental form of GroupSnapshotter: operators
-// that track which routing keys they dirtied (see DirtyTracker) can cut
-// checkpoints holding only the key groups changed since a completed base
-// checkpoint. CaptureGroups runs synchronously at the aligned barrier for
-// checkpoint id. With delta unset it returns the operator's full state,
-// exactly like SnapshotGroups, with nil dropped. With delta set it returns
-// a replacement frame for every key group holding changes not covered by
-// checkpoint base — re-encoding all live state of a dirty group, not just
-// the changed part, since delta frames replace their group wholesale on
-// replay — and lists dirty groups left with no live state in dropped
-// (tombstones). The returned frames must not alias mutable operator state:
-// with async snapshots, encoding happens after the operator resumes.
-//
-// Restore is unchanged: the coordinator merges the delta chain into full
-// per-group state before RestoreGroup runs, so operators never see deltas
-// on the way back in.
-type DeltaSnapshotter interface {
-	GroupSnapshotter
-	CaptureGroups(group func(key uint64) int, id, base uint64, delta bool) (frames map[int][]byte, dropped []int, err error)
-}
-
-// DirtyTracker implements the bookkeeping behind DeltaSnapshotter: the
-// operator calls Touch for every state change (creation, modification,
-// deletion) under the change's routing key, and Capture at each cut to
-// learn which key groups need re-encoding. Stamps are capture ids: a key
-// touched after capture X carries stamp X, and a delta cut against base B
-// includes every group holding a stamp >= B — such a change postdates
-// capture B's cut and is therefore absent from the restore baseline.
-//
-// Touches are folded from per-key stamps into per-group stamps at each
-// capture (when the key→group mapping is available), so steady-state
-// memory is one stamp per touched key group plus the keys touched since
-// the last cut. Before the first capture the tracker stays disarmed and
-// Touch is a no-op: a job's first checkpoint is always full, and with
-// checkpointing disabled the tracker then costs nothing.
-type DirtyTracker struct {
-	keys    map[uint64]uint64 // routing key -> stamp, touches since the last capture
-	groups  map[int]uint64    // key group -> stamp, folded at captures
-	lastCap uint64            // highest capture id taken
-	armed   bool
-}
-
-// NewDirtyTracker returns a disarmed tracker (armed by the first Capture).
-func NewDirtyTracker() *DirtyTracker {
-	return &DirtyTracker{keys: make(map[uint64]uint64), groups: make(map[int]uint64)}
-}
-
-// Touch records a state change under the given routing key. Call it for
-// deletions too: a group whose last key disappeared must be tombstoned at
-// the next delta cut.
-func (t *DirtyTracker) Touch(key uint64) {
-	if !t.armed {
-		return
-	}
-	t.keys[key] = t.lastCap
-}
-
-// Capture opens the cut for checkpoint id: pending touches are folded into
-// per-group stamps and the tracker arms for the touches that follow. For a
-// delta cut it returns the key groups dirtied since checkpoint base — the
-// caller re-encodes every live unit of each returned group and tombstones
-// the ones left empty. For a full cut (delta unset) it returns nil.
-// Capture relies on the driver's guarantee that the bases of successive
-// delta cuts never decrease (they are completed checkpoint ids).
-func (t *DirtyTracker) Capture(group func(key uint64) int, id, base uint64, delta bool) map[int]bool {
-	for k, s := range t.keys {
-		if g := group(k); s > t.groups[g] {
-			t.groups[g] = s
-		}
-	}
-	clear(t.keys)
-	t.armed = true
-	if id > t.lastCap {
-		t.lastCap = id
-	}
-	if !delta {
-		return nil
-	}
-	dirty := make(map[int]bool)
-	for g, s := range t.groups {
-		if s >= base {
-			dirty[g] = true
-		}
-	}
-	return dirty
 }
 
 // SourcePosition is the replayable source offset of a checkpoint cut: the
@@ -246,19 +153,6 @@ type Manifest struct {
 	// different semantics (e.g. another enumeration method). Deployment
 	// knobs like parallelism are deliberately absent from it.
 	Spec []byte `json:"spec,omitempty"`
-	// Delta marks an incremental checkpoint: its blobs hold only the key
-	// groups dirtied since checkpoint Parent, and restoring it means
-	// replaying Chain in order.
-	Delta bool `json:"delta,omitempty"`
-	// Parent is the completed base checkpoint a delta checkpoint was cut
-	// against (0 for a full checkpoint).
-	Parent uint64 `json:"parent,omitempty"`
-	// Chain is the replay chain of a delta checkpoint: every checkpoint id
-	// from the full base through this one, oldest first. It is filled by
-	// the store at commit (the store owns chain bookkeeping, because its
-	// background compaction later folds chains into new bases and rewrites
-	// the manifests it shortens). Empty for a full checkpoint.
-	Chain []uint64 `json:"chain,omitempty"`
 }
 
 // Validate checks a manifest against the topology a resuming job built:
@@ -317,16 +211,6 @@ type Store interface {
 	State(id uint64, stage string, subtask int) ([]byte, error)
 }
 
-// BaseRetainer is an optional Store extension for delta checkpoints: the
-// coordinator pins an in-flight delta's base so retention cannot collect
-// it (or any element of its chain) while the delta still needs it — a
-// base that completed several commits ago would otherwise age out before
-// the delta referencing it becomes durable. Retain/Release calls nest.
-type BaseRetainer interface {
-	RetainBase(id uint64)
-	ReleaseBase(id uint64)
-}
-
 // Coordinator tracks in-flight checkpoints for one job: the driver calls
 // Begin when it injects a barrier, subtask acks arrive via Ack (locally
 // from the flow runtime, or forwarded over the tcpnet control plane), and
@@ -352,7 +236,7 @@ type Coordinator struct {
 	// manifests.
 	MaxParallelism int
 	// Stats, when non-nil, accrues checkpoint observability counters
-	// (state upload time, full/delta cut mix).
+	// (state upload time, completed cuts).
 	Stats *metrics.CheckpointStats
 	// Logf reports aborted checkpoints (default log-free: silent).
 	Logf func(format string, args ...any)
@@ -365,8 +249,6 @@ type Coordinator struct {
 
 type inflight struct {
 	src    SourcePosition
-	base   uint64              // completed base checkpoint id (delta only)
-	delta  bool                // incremental cut
 	seen   map[[2]int]struct{} // (stage, subtask) pairs received (dedup)
 	stored int                 // acks whose state write has completed
 	failed bool
@@ -400,12 +282,8 @@ func (c *Coordinator) Stages() []StageInfo { return c.stages }
 
 // Begin opens checkpoint id at the given source position. The driver calls
 // it immediately before injecting the barrier, so acks can never race an
-// unknown id. For an incremental checkpoint (delta set) base must be a
-// checkpoint this coordinator instance committed; Begin pins it against
-// store retention until the delta commits or aborts. Bases of successive
-// deltas never decrease (they are completed ids), which is what lets
-// operators prune their dirtiness bookkeeping.
-func (c *Coordinator) Begin(id uint64, src SourcePosition, base uint64, delta bool) error {
+// unknown id.
+func (c *Coordinator) Begin(id uint64, src SourcePosition) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, dup := c.inflight[id]; dup {
@@ -414,26 +292,8 @@ func (c *Coordinator) Begin(id uint64, src SourcePosition, base uint64, delta bo
 	if c.haveDone && id <= c.lastDone {
 		return fmt.Errorf("ckpt: checkpoint id %d not after last completed %d", id, c.lastDone)
 	}
-	if delta && (!c.haveDone || base > c.lastDone) {
-		return fmt.Errorf("ckpt: delta checkpoint %d against uncommitted base %d", id, base)
-	}
-	if delta {
-		if br, ok := c.store.(BaseRetainer); ok {
-			br.RetainBase(base)
-		}
-	}
-	c.inflight[id] = &inflight{src: src, base: base, delta: delta, seen: make(map[[2]int]struct{}, c.expect)}
+	c.inflight[id] = &inflight{src: src, seen: make(map[[2]int]struct{}, c.expect)}
 	return nil
-}
-
-// releaseBase undoes Begin's retention pin once the delta's fate is known.
-func (c *Coordinator) releaseBase(fl *inflight) {
-	if !fl.delta {
-		return
-	}
-	if br, ok := c.store.(BaseRetainer); ok {
-		br.ReleaseBase(fl.base)
-	}
 }
 
 // Ack records one subtask's snapshot for checkpoint id. stage indexes the
@@ -498,7 +358,6 @@ func (c *Coordinator) Ack(id uint64, stage, subtask int, state []byte, snapErr e
 		// always resumes from the latest cut — and committing it would only
 		// risk shadowing newer state. Drop it.
 		newer := c.lastDone
-		c.releaseBase(fl)
 		c.mu.Unlock()
 		c.logf("ckpt: checkpoint %d superseded by %d, dropped", id, newer)
 		return
@@ -507,24 +366,17 @@ func (c *Coordinator) Ack(id uint64, stage, subtask int, state []byte, snapErr e
 		ID: id, Source: fl.src, Spec: c.Spec,
 		MaxParallelism: c.MaxParallelism,
 		Stages:         manifestStages(c.stages, c.MaxParallelism),
-		Delta:          fl.delta,
-	}
-	if fl.delta {
-		m.Parent = fl.base
 	}
 	done := c.OnComplete
 	c.mu.Unlock()
 	t1 := time.Now()
 	err = c.store.Commit(m)
 	c.Stats.AddUpload(time.Since(t1))
-	c.mu.Lock()
-	c.releaseBase(fl)
-	c.mu.Unlock()
 	if err != nil {
 		c.logf("ckpt: checkpoint %d commit: %v", id, err)
 		return
 	}
-	c.Stats.CountCut(fl.delta)
+	c.Stats.CountCut()
 	c.mu.Lock()
 	if !c.haveDone || id > c.lastDone {
 		c.lastDone, c.haveDone = id, true
@@ -547,7 +399,6 @@ func (c *Coordinator) Completed() (uint64, bool) {
 func (c *Coordinator) abortLocked(id uint64, fl *inflight, err error) {
 	fl.failed = true
 	delete(c.inflight, id)
-	c.releaseBase(fl)
 	c.logf("ckpt: checkpoint %d aborted: %v", id, err)
 }
 
@@ -586,121 +437,27 @@ func readStates(store Store, id uint64, stages []StageInfo) (map[string][]byte, 
 	return out, nil
 }
 
-// AllStates loads every subtask's full state of a committed checkpoint,
-// keyed by StateKey. For a delta checkpoint it replays the manifest's
-// chain oldest-first, merging each element into the accumulated state:
-// full blobs (StateGroups/StateRaw) replace a subtask's state wholesale —
-// a tag-only blob replaces it with explicitly empty state — and delta
-// blobs overwrite their dirty groups and delete tombstoned ones. The
-// result holds only full-format blobs, so Reshard and restore never see
-// deltas. Every element of one chain shares the manifest's topology
-// (chains never span restarts).
+// AllStates loads every subtask's state of a committed checkpoint, keyed
+// by StateKey. Every non-empty blob must carry a format tag this build
+// restores (StateGroups or StateRaw); anything else — such as the
+// incremental-delta blobs older releases wrote — fails the load with the
+// checkpoint id, so a resume refuses the directory at construction
+// instead of starting subtasks from partial state.
 func AllStates(store Store, m *Manifest) (map[string][]byte, error) {
-	if !m.Delta {
-		states, err := readStates(store, m.ID, m.Stages)
-		if err != nil {
-			return nil, err
-		}
-		for key, blob := range states {
-			if len(blob) == 1 { // explicit-empty marker (compacted chains)
-				delete(states, key)
-			}
-		}
-		return states, nil
-	}
-	if len(m.Chain) == 0 {
-		return nil, fmt.Errorf("ckpt: checkpoint %d is incremental but its manifest records no delta chain (store without chain support?)", m.ID)
-	}
-	if m.Chain[len(m.Chain)-1] != m.ID {
-		return nil, fmt.Errorf("ckpt: checkpoint %d delta chain %v does not end at itself", m.ID, m.Chain)
-	}
-	states, err := mergeChainStates(func(cid uint64) (map[string][]byte, error) {
-		return readStates(store, cid, m.Stages)
-	}, m.Chain)
+	states, err := readStates(store, m.ID, m.Stages)
 	if err != nil {
-		return nil, fmt.Errorf("ckpt: checkpoint %d: %w", m.ID, err)
+		return nil, err
 	}
 	for key, blob := range states {
-		if len(blob) == 1 { // explicit-empty marker: no state to restore
+		if len(blob) == 0 {
 			delete(states, key)
+			continue
+		}
+		if tag := blob[0]; tag != flow.StateGroups && tag != flow.StateRaw {
+			return nil, fmt.Errorf("ckpt: checkpoint %d state %s has unknown format %d (not a full-state checkpoint)", m.ID, key, tag)
 		}
 	}
 	return states, nil
-}
-
-// mergeChainStates replays a delta chain oldest-first, merging every
-// element into accumulated per-subtask state, and returns full-format
-// blobs keyed by StateKey. A key that appeared somewhere in the chain but
-// whose merged state is empty comes back as a tag-only explicit-empty
-// blob rather than being omitted: DirStore compaction persists those
-// markers so that replaying a chain whose tail was already compacted (the
-// crash window between compaction's state write and its manifest rewrite)
-// replaces stale accumulated state with emptiness instead of keeping it.
-// Callers restoring state filter the one-byte markers out.
-func mergeChainStates(read func(id uint64) (map[string][]byte, error), chain []uint64) (map[string][]byte, error) {
-	groupsBy := make(map[string]map[int][]byte) // StateKey -> group -> frame
-	raws := make(map[string][]byte)             // StateKey -> raw payload (may be empty)
-	for _, cid := range chain {
-		states, err := read(cid)
-		if err != nil {
-			return nil, fmt.Errorf("chain element %d: %w", cid, err)
-		}
-		for key, blob := range states {
-			if len(blob) == 0 {
-				continue // absent in this cut: unchanged since the previous element
-			}
-			switch blob[0] {
-			case flow.StateGroups:
-				gs, err := flow.DecodeGroupStates(blob)
-				if err != nil {
-					return nil, fmt.Errorf("chain element %d state %s: %w", cid, key, err)
-				}
-				g := make(map[int][]byte, len(gs))
-				for _, f := range gs {
-					g[f.Group] = f.Data
-				}
-				groupsBy[key] = g
-				delete(raws, key)
-			case flow.StateRaw:
-				raws[key] = blob[1:]
-				delete(groupsBy, key)
-			case flow.StateGroupDeltas:
-				frames, dropped, err := flow.DecodeGroupDeltas(blob)
-				if err != nil {
-					return nil, fmt.Errorf("chain element %d state %s: %w", cid, key, err)
-				}
-				g := groupsBy[key]
-				if g == nil {
-					g = make(map[int][]byte)
-					groupsBy[key] = g
-				}
-				for _, d := range dropped {
-					delete(g, d)
-				}
-				for _, f := range frames {
-					g[f.Group] = f.Data
-				}
-			default:
-				return nil, fmt.Errorf("chain element %d state %s: unknown state format %d", cid, key, blob[0])
-			}
-		}
-	}
-	out := make(map[string][]byte, len(groupsBy)+len(raws))
-	for key, g := range groupsBy {
-		blob := flow.EncodeGroupStates(g)
-		if len(blob) == 0 {
-			blob = []byte{flow.StateGroups} // explicit-empty marker
-		}
-		out[key] = blob
-	}
-	for key, raw := range raws {
-		blob := flow.EncodeRawState(raw)
-		if len(blob) == 0 {
-			blob = []byte{flow.StateRaw} // explicit-empty marker
-		}
-		out[key] = blob
-	}
-	return out, nil
 }
 
 // manifestStages annotates stage descriptors with the key-group range each

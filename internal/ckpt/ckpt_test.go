@@ -19,11 +19,12 @@ func testStages() []StageInfo {
 	}
 }
 
-// ackAll delivers one successful ack per subtask for checkpoint id.
+// ackAll delivers one successful ack per subtask for checkpoint id, each
+// a raw-format blob naming its checkpoint and subtask.
 func ackAll(c *Coordinator, id uint64) {
 	for si, st := range c.Stages() {
 		for sub := 0; sub < st.Parallelism; sub++ {
-			c.Ack(id, si, sub, []byte(fmt.Sprintf("%d/%d/%d", id, si, sub)), nil)
+			c.Ack(id, si, sub, flow.EncodeRawState([]byte(fmt.Sprintf("%d/%d/%d", id, si, sub))), nil)
 		}
 	}
 }
@@ -138,7 +139,7 @@ func TestCoordinatorCompletes(t *testing.T) {
 		done = append(done, m)
 		mu.Unlock()
 	}
-	if err := coord.Begin(1, SourcePosition{Snapshots: 5, LastTick: 4}, 0, false); err != nil {
+	if err := coord.Begin(1, SourcePosition{Snapshots: 5, LastTick: 4}); err != nil {
 		t.Fatal(err)
 	}
 	ackAll(coord, 1)
@@ -153,11 +154,11 @@ func TestCoordinatorCompletes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := string(restore(1, 2)); got != "1/1/2" {
+	if got := string(restore(1, 2)); got != string(flow.EncodeRawState([]byte("1/1/2"))) {
 		t.Fatalf("restore = %q", got)
 	}
 	// Duplicate Begin is rejected; acks for unknown ids are dropped.
-	if err := coord.Begin(1, SourcePosition{}, 0, false); err == nil {
+	if err := coord.Begin(1, SourcePosition{}); err == nil {
 		t.Fatal("duplicate Begin accepted")
 	}
 	coord.Ack(99, 0, 0, nil, nil) // must not panic or commit
@@ -177,7 +178,7 @@ func TestCoordinatorAbortsOnSnapshotError(t *testing.T) {
 	}
 	completed := 0
 	coord.OnComplete = func(Manifest) { completed++ }
-	if err := coord.Begin(7, SourcePosition{}, 0, false); err != nil {
+	if err := coord.Begin(7, SourcePosition{}); err != nil {
 		t.Fatal(err)
 	}
 	coord.Ack(7, 0, 0, nil, errors.New("serialization failed"))
@@ -189,7 +190,7 @@ func TestCoordinatorAbortsOnSnapshotError(t *testing.T) {
 		t.Fatal("aborted checkpoint recorded as done")
 	}
 	// The next checkpoint is unaffected.
-	if err := coord.Begin(8, SourcePosition{Snapshots: 1}, 0, false); err != nil {
+	if err := coord.Begin(8, SourcePosition{Snapshots: 1}); err != nil {
 		t.Fatal(err)
 	}
 	ackAll(coord, 8)
@@ -213,7 +214,7 @@ func TestDuplicateAndBogusAcks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := coord.Begin(1, SourcePosition{}, 0, false); err != nil {
+	if err := coord.Begin(1, SourcePosition{}); err != nil {
 		t.Fatal(err)
 	}
 	coord.Ack(1, 0, 0, []byte("a"), nil)
@@ -226,7 +227,7 @@ func TestDuplicateAndBogusAcks(t *testing.T) {
 		t.Fatalf("Completed = %d, %v after full acks", id, ok)
 	}
 	// Out-of-range subtask aborts the checkpoint instead of counting.
-	if err := coord.Begin(2, SourcePosition{}, 0, false); err != nil {
+	if err := coord.Begin(2, SourcePosition{}); err != nil {
 		t.Fatal(err)
 	}
 	coord.Ack(2, 0, 5, nil, nil)
@@ -252,7 +253,7 @@ func TestOutOfOrderCompletion(t *testing.T) {
 		t.Fatal(err)
 	}
 	for id := uint64(1); id <= 4; id++ {
-		if err := coord.Begin(id, SourcePosition{Snapshots: int64(id) * 10}, 0, false); err != nil {
+		if err := coord.Begin(id, SourcePosition{Snapshots: int64(id) * 10}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -326,7 +327,7 @@ func TestManifestRecordsKeyGroupRanges(t *testing.T) {
 		t.Fatal(err)
 	}
 	coord.MaxParallelism = 8
-	if err := coord.Begin(1, SourcePosition{}, 0, false); err != nil {
+	if err := coord.Begin(1, SourcePosition{}); err != nil {
 		t.Fatal(err)
 	}
 	ackAll(coord, 1)

@@ -1,6 +1,7 @@
 package ckpt
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -10,15 +11,11 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-
-	"repro/internal/metrics"
 )
 
 // DirStore is the local-directory Store backend. Layout:
 //
 //	<dir>/chk-<id>/STATE.bin        all subtask blobs, framed (written at commit)
-//	<dir>/chk-<id>/STATE.pg         paged layout instead of STATE.bin (Paged mode)
-//	<dir>/chk-<id>/STATE.full.bin   compacted full state of a delta chain (framed)
 //	<dir>/chk-<id>/MANIFEST.json    commit record (written last)
 //
 // Put stages blobs in memory; the directory is touched only at Commit,
@@ -31,72 +28,28 @@ import (
 // crash mid-checkpoint leaves at most a state file without a manifest,
 // which Latest ignores and the next Commit's garbage collection removes.
 //
-// In Paged mode, Put instead streams each blob into a PageFile as it
-// arrives — fixed-size pages, free list, directory blob; see PageFile —
-// and Commit only finalizes the file, so blob bytes never accumulate in
-// memory. The manifest rename stays the commit point either way.
-//
 // STATE.bin framing, repeated per blob:
 //
 //	[stage len uvarint][stage bytes][subtask uvarint][blob len uvarint][blob]
 //
 // Retain controls how many completed checkpoints are kept (default 2; the
 // previous one survives until its successor is durable).
-//
-// # Delta chains and compaction
-//
-// A delta checkpoint's manifest names its base (Manifest.Parent); the
-// store owns the resulting chain bookkeeping: at Commit it stamps the full
-// replay chain into the manifest, retention keeps every element of a
-// retained (or pinned, see BaseRetainer) checkpoint's chain alive, and
-// once the latest chain reaches CompactThreshold elements a background
-// compaction folds it into a new full base — merging the chain's states
-// into STATE.full.bin and rewriting the manifest with the chain cleared,
-// both via tmp+rename so a kill at any instant leaves either the old
-// chain or the new base readable, never a torn mix. Readers prefer
-// STATE.full.bin over the original state file when both exist.
 type DirStore struct {
 	dir string
 	// Retain is the number of most-recent completed checkpoints kept after
 	// a Commit (minimum 1).
 	Retain int
-	// Paged switches Put to the paged STATE.pg layout: blobs stream to
-	// fixed-size pages as acks arrive instead of staging in memory.
-	Paged bool
-	// CompactThreshold, when > 0, folds the latest checkpoint's delta
-	// chain into a new full base in the background once the chain reaches
-	// that many elements (0 disables compaction).
-	CompactThreshold int
-	// Stats, when non-nil, accrues chain-length observability counters.
-	Stats *metrics.CheckpointStats
-	// OnCompact, when non-nil, is notified after each background chain
-	// compaction finishes: the folded checkpoint id, the chain length it
-	// folded, and the error (nil on success). Called from the compaction
-	// goroutine; implementations must be safe for concurrent use. The
-	// observability layer feeds the structured event log from it without
-	// this package importing it.
-	OnCompact func(id uint64, chainLen int, err error)
 
 	mu         sync.Mutex
 	staging    map[uint64]map[string][]byte // in-flight blobs by id, then key
-	paging     map[uint64]*PageFile         // in-flight page files by id (Paged mode)
 	completed  []uint64                     // committed ids on disk, ascending
 	committing map[uint64]struct{}          // ids with a Commit in progress
-	chains     map[uint64][]uint64          // id -> replay chain, oldest first (self-only for full)
-	pins       map[uint64]int               // BaseRetainer pin counts
-	compacting bool                         // single-flight background compaction
-	compactWG  sync.WaitGroup
 }
 
-// DefaultCompactThreshold is the chain length at which delta-checkpointing
-// deployments fold chains into a new full base unless configured otherwise.
-const DefaultCompactThreshold = 8
-
 // NewDirStore creates (if needed) and opens a checkpoint directory. Stale
-// attempts from a previous process (state without manifest, *.tmp files
-// from an interrupted compaction) are swept once here; afterwards garbage
-// collection works from in-memory bookkeeping so a commit never rescans
-// the directory.
+// attempts from a previous process (state without manifest) are swept once
+// here; afterwards garbage collection works from in-memory bookkeeping so
+// a commit never rescans the directory for retention.
 func NewDirStore(dir string) (*DirStore, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("ckpt: empty checkpoint directory")
@@ -107,37 +60,18 @@ func NewDirStore(dir string) (*DirStore, error) {
 	s := &DirStore{
 		dir: dir, Retain: 2,
 		staging:    make(map[uint64]map[string][]byte),
-		paging:     make(map[uint64]*PageFile),
 		committing: make(map[uint64]struct{}),
-		chains:     make(map[uint64][]uint64),
-		pins:       make(map[uint64]int),
 	}
 	ids, err := s.list()
 	if err != nil {
 		return nil, err
 	}
 	for _, id := range ids {
-		m, err := s.readManifest(id)
-		if err != nil {
-			if os.IsNotExist(err) {
-				os.RemoveAll(s.ckptDir(id))
-				continue
-			}
-			return nil, fmt.Errorf("ckpt: %w", err)
+		if !s.hasManifest(id) {
+			os.RemoveAll(s.ckptDir(id))
+			continue
 		}
 		s.completed = append(s.completed, id)
-		if m.Delta && len(m.Chain) > 0 {
-			s.chains[id] = m.Chain
-		} else {
-			s.chains[id] = []uint64{id}
-		}
-		if ents, err := os.ReadDir(s.ckptDir(id)); err == nil {
-			for _, e := range ents {
-				if strings.HasSuffix(e.Name(), ".tmp") {
-					os.Remove(filepath.Join(s.ckptDir(id), e.Name()))
-				}
-			}
-		}
 	}
 	return s, nil
 }
@@ -150,11 +84,14 @@ func (s *DirStore) ckptDir(id uint64) string {
 }
 
 const (
-	manifestName  = "MANIFEST.json"
-	stateName     = "STATE.bin"
-	pageFileName  = "STATE.pg"
-	fullStateName = "STATE.full.bin"
+	manifestName = "MANIFEST.json"
+	stateName    = "STATE.bin"
 )
+
+// legacyStateNames are state files of checkpoint layouts older releases
+// wrote (a paged blob file, a compacted delta chain). Their presence
+// marks a checkpoint this store cannot restore.
+var legacyStateNames = []string{"STATE.pg", "STATE.full.bin"}
 
 // StateKey is the canonical "stage/subtask" key for one subtask's state
 // blob — the same string the tcpnet handshake restore map uses, so the
@@ -163,66 +100,30 @@ func StateKey(stage string, subtask int) string {
 	return stage + "/" + strconv.Itoa(subtask)
 }
 
-// Put implements Store: the blob is staged in memory until Commit, or
-// streamed straight into the checkpoint's page file in Paged mode.
+// Put implements Store: the blob is staged in memory until Commit.
 func (s *DirStore) Put(id uint64, stage string, subtask int, state []byte) error {
 	s.mu.Lock()
-	if !s.Paged {
-		m := s.staging[id]
-		if m == nil {
-			m = make(map[string][]byte)
-			s.staging[id] = m
-		}
-		m[StateKey(stage, subtask)] = state
-		s.mu.Unlock()
-		return nil
+	defer s.mu.Unlock()
+	m := s.staging[id]
+	if m == nil {
+		m = make(map[string][]byte)
+		s.staging[id] = m
 	}
-	pf := s.paging[id]
-	if pf == nil {
-		dir := s.ckptDir(id)
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			s.mu.Unlock()
-			return fmt.Errorf("ckpt: %w", err)
-		}
-		var err error
-		if pf, err = CreatePageFile(filepath.Join(dir, pageFileName), 0); err != nil {
-			s.mu.Unlock()
-			return err
-		}
-		s.paging[id] = pf
-	}
-	s.mu.Unlock()
-	return pf.Put(StateKey(stage, subtask), state)
+	m[StateKey(stage, subtask)] = state
+	return nil
 }
 
-// Commit implements Store: one state file (framed, or a finalized page
-// file), then the atomic manifest rename, then garbage collection of
-// checkpoints beyond the retention horizon (and of staged blobs from
-// older, abandoned attempts). For a delta manifest, the full replay chain
-// is computed from the parent's and stamped into the manifest before it
-// lands; a chain reaching CompactThreshold triggers background
-// compaction.
+// Commit implements Store: one framed state file, then the atomic manifest
+// rename, then garbage collection of checkpoints beyond the retention
+// horizon (and of staged blobs from older, abandoned attempts).
 func (s *DirStore) Commit(m Manifest) error {
-	chain, err := s.commitChain(&m)
-	if err != nil {
-		return err
-	}
 	s.mu.Lock()
 	staged := s.staging[m.ID]
-	pf := s.paging[m.ID]
-	delete(s.paging, m.ID)
 	// Drop this checkpoint's staging and anything older that never
 	// committed (its barrier generation is gone for good).
 	for id := range s.staging {
 		if id <= m.ID {
 			delete(s.staging, id)
-		}
-	}
-	for id, old := range s.paging {
-		if id < m.ID {
-			old.Close()
-			delete(s.paging, id)
-			os.RemoveAll(s.ckptDir(id))
 		}
 	}
 	// Mark the commit in progress: concurrent commits can push the
@@ -244,24 +145,9 @@ func (s *DirStore) Commit(m Manifest) error {
 	// A failed attempt removes its directory again: a chk dir holding state
 	// without a manifest is indistinguishable from a crash artifact and
 	// would otherwise sit there until the orphan sweep catches it.
-	if s.Paged {
-		if pf == nil { // no subtask ever wrote state
-			if pf, err = CreatePageFile(filepath.Join(dir, pageFileName), 0); err != nil {
-				os.RemoveAll(dir)
-				return err
-			}
-		}
-		err := pf.Finalize()
-		pf.Close()
-		if err != nil {
-			os.RemoveAll(dir)
-			return err
-		}
-	} else {
-		if err := os.WriteFile(filepath.Join(dir, stateName), frameStates(staged), 0o644); err != nil {
-			os.RemoveAll(dir)
-			return fmt.Errorf("ckpt: %w", err)
-		}
+	if err := os.WriteFile(filepath.Join(dir, stateName), frameStates(staged), 0o644); err != nil {
+		os.RemoveAll(dir)
+		return fmt.Errorf("ckpt: %w", err)
 	}
 	blob, err := json.Marshal(m)
 	if err != nil {
@@ -277,43 +163,8 @@ func (s *DirStore) Commit(m Manifest) error {
 		os.RemoveAll(dir)
 		return fmt.Errorf("ckpt: %w", err)
 	}
-	s.mu.Lock()
-	s.chains[m.ID] = chain
-	s.mu.Unlock()
-	s.Stats.SetChainLen(len(chain))
 	s.gc(m.ID)
-	s.maybeCompact(m.ID)
 	return nil
-}
-
-// commitChain resolves the manifest's replay chain: a full checkpoint is
-// its own chain (and its manifest records none); a delta checkpoint
-// extends its parent's chain, which the manifest records in full so a
-// reopened store — or a reader of the raw directory — needs no further
-// bookkeeping to replay it.
-func (s *DirStore) commitChain(m *Manifest) ([]uint64, error) {
-	if !m.Delta {
-		m.Chain = nil
-		return []uint64{m.ID}, nil
-	}
-	s.mu.Lock()
-	parent := s.chains[m.Parent]
-	s.mu.Unlock()
-	if parent == nil {
-		// Reopened store: the parent's chain lives in its manifest.
-		pm, err := s.readManifest(m.Parent)
-		if err != nil {
-			return nil, fmt.Errorf("ckpt: delta checkpoint %d: base %d: %w", m.ID, m.Parent, err)
-		}
-		if pm.Delta && len(pm.Chain) > 0 {
-			parent = pm.Chain
-		} else {
-			parent = []uint64{m.Parent}
-		}
-	}
-	chain := append(append(make([]uint64, 0, len(parent)+1), parent...), m.ID)
-	m.Chain = chain
-	return chain, nil
 }
 
 // frameStates serializes subtask blobs (keyed by StateKey) into the
@@ -338,41 +189,16 @@ func frameStates(states map[string][]byte) []byte {
 	return frame
 }
 
-// RetainBase implements BaseRetainer: garbage collection keeps a pinned
-// checkpoint — and every element of its chain — on disk regardless of the
-// retention count, for as long as pins are outstanding. Pins nest.
-func (s *DirStore) RetainBase(id uint64) {
-	s.mu.Lock()
-	s.pins[id]++
-	s.mu.Unlock()
-}
-
-// ReleaseBase implements BaseRetainer.
-func (s *DirStore) ReleaseBase(id uint64) {
-	s.mu.Lock()
-	if s.pins[id] > 1 {
-		s.pins[id]--
-	} else {
-		delete(s.pins, id)
-	}
-	s.mu.Unlock()
-}
-
 // gc records the new completion, removes checkpoints beyond the retention
 // horizon (from in-memory bookkeeping), and sweeps orphaned directories: a
 // crash between the state write and the manifest rename leaves a chk dir
-// that will never gain a manifest. Retention is chain-aware: a checkpoint
-// survives while it is one of the Retain most recent completions, an
-// element of such a checkpoint's delta chain, or covered by a BaseRetainer
-// pin — a delta's base must outlive every checkpoint that replays through
-// it. A manifest-less directory with an id below the oldest kept
-// checkpoint is an orphan, UNLESS a concurrent Commit for that id is still
-// mid-write or its page file is still receiving Puts — the committing and
-// paging sets exclude those. Without the sweep, orphans leak until the
-// store is next reopened (and forever on a long-lived process). The sweep
-// costs one ReadDir per commit, dwarfed by the state write itself.
-// Removal failures are ignored: garbage collection must never fail a
-// commit.
+// that will never gain a manifest. A manifest-less directory with an id
+// below the oldest kept checkpoint is an orphan, UNLESS a concurrent
+// Commit for that id is still mid-write — the committing set excludes
+// those. Without the sweep, orphans leak until the store is next reopened
+// (and forever on a long-lived process). The sweep costs one ReadDir per
+// commit, dwarfed by the state write itself. Removal failures are
+// ignored: garbage collection must never fail a commit.
 func (s *DirStore) gc(latest uint64) {
 	retain := s.Retain
 	if retain < 1 {
@@ -383,37 +209,11 @@ func (s *DirStore) gc(latest uint64) {
 	// Retention is by id, not completion order: commits can land out of
 	// order (acks are asynchronous), and the newest cut must survive.
 	sort.Slice(s.completed, func(i, j int) bool { return s.completed[i] < s.completed[j] })
-	keep := make(map[uint64]bool)
-	first := len(s.completed) - retain
-	if first < 0 {
-		first = 0
-	}
-	for _, id := range s.completed[first:] {
-		keep[id] = true
-		for _, c := range s.chains[id] {
-			keep[c] = true
-		}
-	}
-	for id, n := range s.pins {
-		if n <= 0 {
-			continue
-		}
-		keep[id] = true
-		for _, c := range s.chains[id] {
-			keep[c] = true
-		}
-	}
 	var drop []uint64
-	kept := s.completed[:0]
-	for _, id := range s.completed {
-		if keep[id] {
-			kept = append(kept, id)
-		} else {
-			drop = append(drop, id)
-			delete(s.chains, id)
-		}
+	if n := len(s.completed) - retain; n > 0 {
+		drop = append(drop, s.completed[:n]...)
+		s.completed = append(s.completed[:0], s.completed[n:]...)
 	}
-	s.completed = kept
 	horizon := s.completed[0] // oldest kept completed id
 	s.mu.Unlock()
 	for _, id := range drop {
@@ -421,7 +221,7 @@ func (s *DirStore) gc(latest uint64) {
 	}
 	if ids, err := s.list(); err == nil {
 		for _, id := range ids {
-			if id >= horizon || s.isCommitting(id) || s.isPaging(id) || s.hasManifest(id) {
+			if id >= horizon || s.isCommitting(id) || s.hasManifest(id) {
 				continue
 			}
 			os.RemoveAll(s.ckptDir(id))
@@ -434,108 +234,6 @@ func (s *DirStore) isCommitting(id uint64) bool {
 	defer s.mu.Unlock()
 	_, busy := s.committing[id]
 	return busy
-}
-
-func (s *DirStore) isPaging(id uint64) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, busy := s.paging[id]
-	return busy
-}
-
-// maybeCompact starts a background compaction of checkpoint id's delta
-// chain when it has grown to the configured threshold. Compactions are
-// single-flight — a chain that keeps growing while one runs is picked up
-// by a later commit — and the target is pinned so retention cannot
-// collect chain elements mid-merge.
-func (s *DirStore) maybeCompact(id uint64) {
-	if s.CompactThreshold <= 0 {
-		return
-	}
-	s.mu.Lock()
-	chain := s.chains[id]
-	if len(chain) < s.CompactThreshold || s.compacting {
-		s.mu.Unlock()
-		return
-	}
-	s.compacting = true
-	s.pins[id]++
-	chain = append([]uint64(nil), chain...)
-	s.mu.Unlock()
-	s.compactWG.Add(1)
-	go func() {
-		defer s.compactWG.Done()
-		// Compaction failure is tolerable by design: the chain stays
-		// replayable as-is, so errors are dropped like gc's.
-		err := s.compact(id, chain)
-		if s.OnCompact != nil {
-			s.OnCompact(id, len(chain), err)
-		}
-		s.mu.Lock()
-		s.compacting = false
-		if s.pins[id] > 1 {
-			s.pins[id]--
-		} else {
-			delete(s.pins, id)
-		}
-		s.mu.Unlock()
-	}()
-}
-
-// WaitCompaction blocks until no background chain compaction is in flight
-// (tests, and orderly shutdown before removing the directory).
-func (s *DirStore) WaitCompaction() { s.compactWG.Wait() }
-
-// compact folds checkpoint id's delta chain into a new full base. The
-// merged state lands as STATE.full.bin and the manifest is rewritten with
-// the chain cleared, each via tmp+rename: a kill before the state rename
-// changes nothing, a kill between the two leaves a full state file that
-// readers already prefer while the manifest still replays the chain —
-// equivalent, because the merge writes explicit-empty markers for keys
-// the chain emptied (see mergeChainStates) — and a kill after the
-// manifest rename completes the fold. The original chain files are left
-// to normal retention.
-func (s *DirStore) compact(id uint64, chain []uint64) error {
-	merged, err := mergeChainStates(s.States, chain)
-	if err != nil {
-		return err
-	}
-	dir := s.ckptDir(id)
-	tmp := filepath.Join(dir, fullStateName+".tmp")
-	if err := os.WriteFile(tmp, frameStates(merged), 0o644); err != nil {
-		return fmt.Errorf("ckpt: %w", err)
-	}
-	if err := os.Rename(tmp, filepath.Join(dir, fullStateName)); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("ckpt: %w", err)
-	}
-	m, err := s.readManifest(id)
-	if err != nil {
-		return fmt.Errorf("ckpt: compact chk-%d: %w", id, err)
-	}
-	m.Delta = false
-	m.Parent = 0
-	m.Chain = nil
-	blob, err := json.Marshal(m)
-	if err != nil {
-		return fmt.Errorf("ckpt: compact chk-%d: %w", id, err)
-	}
-	mtmp := filepath.Join(dir, manifestName+".tmp")
-	if err := os.WriteFile(mtmp, blob, 0o644); err != nil {
-		return fmt.Errorf("ckpt: %w", err)
-	}
-	if err := os.Rename(mtmp, filepath.Join(dir, manifestName)); err != nil {
-		os.Remove(mtmp)
-		return fmt.Errorf("ckpt: %w", err)
-	}
-	s.mu.Lock()
-	s.chains[id] = []uint64{id}
-	latest := len(s.completed) > 0 && s.completed[len(s.completed)-1] == id
-	s.mu.Unlock()
-	if latest {
-		s.Stats.SetChainLen(1)
-	}
-	return nil
 }
 
 // list returns the checkpoint ids present in the directory, ascending.
@@ -570,9 +268,14 @@ func (s *DirStore) readManifest(id uint64) (*Manifest, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Strict decoding: a manifest with fields this build does not know
+	// (the delta-chain bookkeeping of older releases, say) describes a
+	// checkpoint it cannot restore faithfully.
+	dec := json.NewDecoder(bytes.NewReader(blob))
+	dec.DisallowUnknownFields()
 	var m Manifest
-	if err := json.Unmarshal(blob, &m); err != nil {
-		return nil, fmt.Errorf("manifest chk-%d: %w", id, err)
+	if err := dec.Decode(&m); err != nil {
+		return nil, fmt.Errorf("checkpoint %d manifest: %w", id, err)
 	}
 	return &m, nil
 }
@@ -597,33 +300,18 @@ func (s *DirStore) Latest() (*Manifest, error) {
 }
 
 // States implements BulkStateReader: every subtask blob of a committed
-// checkpoint, keyed by StateKey. Readers prefer the compacted full state
-// file when one exists, then the paged layout, then the classic framed
-// file — a checkpoint written in one mode stays readable in any.
+// checkpoint, keyed by StateKey, read from its one framed state file.
 func (s *DirStore) States(id uint64) (map[string][]byte, error) {
 	dir := s.ckptDir(id)
-	if frame, err := os.ReadFile(filepath.Join(dir, fullStateName)); err == nil {
-		return parseStateFrame(frame, id)
-	} else if !os.IsNotExist(err) {
-		return nil, fmt.Errorf("ckpt: %w", err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, pageFileName)); err == nil {
-		pf, err := OpenPageFile(filepath.Join(dir, pageFileName))
-		if err != nil {
-			return nil, err
+	for _, name := range legacyStateNames {
+		if _, err := os.Stat(filepath.Join(dir, name)); err == nil {
+			return nil, fmt.Errorf("ckpt: checkpoint %d holds a %s state file, a layout this build does not read", id, name)
 		}
-		defer pf.Close()
-		out := make(map[string][]byte)
-		for _, k := range pf.Keys() {
-			blob, err := pf.Get(k)
-			if err != nil {
-				return nil, fmt.Errorf("ckpt: chk-%d state: %w", id, err)
-			}
-			out[k] = blob
-		}
-		return out, nil
 	}
 	frame, err := os.ReadFile(filepath.Join(dir, stateName))
+	if os.IsNotExist(err) {
+		return nil, fmt.Errorf("ckpt: checkpoint %d has no %s", id, stateName)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("ckpt: %w", err)
 	}

@@ -3,278 +3,117 @@ package ckpt
 import (
 	"os"
 	"path/filepath"
-	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/flow"
 )
 
-// chainStages is the one-stage topology the delta-chain tests commit
-// against.
-func chainStages() []StageInfo { return []StageInfo{{Name: "s", Parallelism: 1}} }
-
-// commitFull commits checkpoint id with the given key-group state as a
-// full StateGroups blob.
-func commitFull(t *testing.T, s *DirStore, id uint64, groups map[int][]byte) {
+// legacyDir writes checkpoint 3 the way an older release's incremental or
+// paged modes left it on disk: the given manifest JSON plus the given
+// state files (name -> contents).
+func legacyDir(t *testing.T, manifest string, files map[string][]byte) *DirStore {
 	t.Helper()
-	if err := s.Put(id, "s", 0, flow.EncodeGroupStates(groups)); err != nil {
+	dir := t.TempDir()
+	chk := filepath.Join(dir, "chk-3")
+	if err := os.MkdirAll(chk, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Commit(Manifest{ID: id, MaxParallelism: 8, Stages: chainStages()}); err != nil {
+	if err := os.WriteFile(filepath.Join(chk, manifestName), []byte(manifest), 0o644); err != nil {
 		t.Fatal(err)
+	}
+	for name, data := range files {
+		if err := os.WriteFile(filepath.Join(chk, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	store, err := NewDirStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return store
+}
+
+const legacyStages = `"max_parallelism":8,"stages":[{"name":"s","parallelism":1,"ranges":[[0,8]]}]`
+
+// deltaBlob is a key-group delta blob as older releases encoded it: tag
+// 2, one tombstone (group 1), one replacement frame (group 0).
+var deltaBlob = []byte{2, 1, 1, 0, 1, 'a'}
+
+// loadLatest runs the resume path's store reads: the latest manifest,
+// then every state blob.
+func loadLatest(store *DirStore) error {
+	m, err := store.Latest()
+	if err != nil {
+		return err
+	}
+	_, err = AllStates(store, m)
+	return err
+}
+
+// Checkpoint directories written by the removed incremental, compacting
+// and paged modes must fail the load with the checkpoint id in the error
+// — never restore partial state and never reach an operator with a blob
+// format it cannot decode.
+func TestLegacyCheckpointDirsRejected(t *testing.T) {
+	cases := []struct {
+		name     string
+		manifest string
+		files    map[string][]byte
+		want     string
+	}{
+		{
+			name:     "delta manifest",
+			manifest: `{"id":3,"source":{"snapshots":9,"last_tick":8},` + legacyStages + `,"delta":true,"parent":2,"chain":[1,2,3]}`,
+			files:    map[string][]byte{stateName: frameStates(map[string][]byte{"s/0": deltaBlob})},
+			want:     "checkpoint 3 manifest",
+		},
+		{
+			name:     "delta blob",
+			manifest: `{"id":3,"source":{"snapshots":9,"last_tick":8},` + legacyStages + `}`,
+			files:    map[string][]byte{stateName: frameStates(map[string][]byte{"s/0": deltaBlob})},
+			want:     "checkpoint 3 state s/0 has unknown format 2",
+		},
+		{
+			name:     "compacted chain",
+			manifest: `{"id":3,"source":{"snapshots":9,"last_tick":8},` + legacyStages + `}`,
+			files: map[string][]byte{
+				stateName:        nil,
+				"STATE.full.bin": frameStates(map[string][]byte{"s/0": flow.EncodeGroupStates(map[int][]byte{0: []byte("a")})}),
+			},
+			want: "checkpoint 3 holds a STATE.full.bin state file",
+		},
+		{
+			name:     "paged layout",
+			manifest: `{"id":3,"source":{"snapshots":9,"last_tick":8},` + legacyStages + `}`,
+			files:    map[string][]byte{"STATE.pg": []byte("ICPEPG01")},
+			want:     "checkpoint 3 holds a STATE.pg state file",
+		},
+		{
+			name:     "no state file",
+			manifest: `{"id":3,"source":{"snapshots":9,"last_tick":8},` + legacyStages + `}`,
+			want:     "checkpoint 3 has no STATE.bin",
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			store := legacyDir(t, tc.manifest, tc.files)
+			err := loadLatest(store)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("load error = %v, want one containing %q", err, tc.want)
+			}
+		})
 	}
 }
 
-// commitDelta commits checkpoint id as a delta against parent: groups are
-// the dirtied groups' replacement frames, dropped the tombstoned ones.
-func commitDelta(t *testing.T, s *DirStore, id, parent uint64, groups map[int][]byte, dropped []int) {
-	t.Helper()
-	if blob := flow.EncodeGroupDeltas(groups, dropped); blob != nil {
-		if err := s.Put(id, "s", 0, blob); err != nil {
-			t.Fatal(err)
-		}
-	}
-	m := Manifest{ID: id, MaxParallelism: 8, Stages: chainStages(), Delta: true, Parent: parent}
-	if err := s.Commit(m); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// decodeStage decodes the merged "s/0" blob of a checkpoint into its
-// per-group frames (nil for no state).
-func decodeStage(t *testing.T, s *DirStore, id uint64) map[int]string {
-	t.Helper()
-	m, err := s.readManifest(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	states, err := AllStates(s, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	blob, ok := states[StateKey("s", 0)]
-	if !ok {
-		return nil
-	}
-	frames, err := flow.DecodeGroupStates(blob)
-	if err != nil {
-		t.Fatalf("chk-%d state: %v", id, err)
-	}
-	out := make(map[int]string, len(frames))
-	for _, f := range frames {
-		out[f.Group] = string(f.Data)
-	}
-	return out
-}
-
-// A delta checkpoint's restore replays the chain: unchanged groups come
-// from the base, dirtied ones from their latest frame, tombstoned ones
-// disappear.
-func TestDeltaChainRestoreReplaysChain(t *testing.T) {
-	store, err := NewDirStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	store.Retain = 10
-	commitFull(t, store, 1, map[int][]byte{0: []byte("a0"), 1: []byte("b0"), 2: []byte("c0")})
-	commitDelta(t, store, 2, 1, map[int][]byte{1: []byte("b1")}, nil)      // group 1 rewritten
-	commitDelta(t, store, 3, 2, map[int][]byte{3: []byte("d1")}, []int{2}) // group 3 born, 2 emptied
-	commitDelta(t, store, 4, 3, map[int][]byte{0: []byte("a2")}, nil)      // group 0 rewritten
-
-	want := map[int]string{0: "a2", 1: "b1", 3: "d1"}
-	if got := decodeStage(t, store, 4); !reflect.DeepEqual(got, want) {
-		t.Fatalf("chain replay = %v, want %v", got, want)
-	}
-	// The manifest records the full replay chain, and a reopened store
-	// replays it identically from disk alone.
-	m, err := store.readManifest(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(m.Chain, []uint64{1, 2, 3, 4}) {
-		t.Fatalf("manifest chain = %v", m.Chain)
-	}
-	reopened, err := NewDirStore(store.Dir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := decodeStage(t, reopened, 4); !reflect.DeepEqual(got, want) {
-		t.Fatalf("reopened chain replay = %v, want %v", got, want)
-	}
-}
-
-// Retention must keep every element of a retained checkpoint's chain
-// alive, even past the Retain horizon: dropping the full base would make
-// the chain unreplayable.
-func TestDeltaChainRetentionKeepsChain(t *testing.T) {
-	store, err := NewDirStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	commitFull(t, store, 1, map[int][]byte{0: []byte("a0")})
-	for id := uint64(2); id <= 5; id++ {
-		commitDelta(t, store, id, id-1, map[int][]byte{0: []byte{byte(id)}}, nil)
-	}
-	// Retain is 2, but ids 1..5 form one chain: all must survive.
-	ids, err := store.list()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(ids, []uint64{1, 2, 3, 4, 5}) {
-		t.Fatalf("retained %v, want the whole chain", ids)
-	}
-	// A fresh full checkpoint cuts the cord; the next commit may collect
-	// the old chain except the still-retained predecessor's closure.
-	commitFull(t, store, 6, map[int][]byte{0: []byte("f")})
-	commitFull(t, store, 7, map[int][]byte{0: []byte("g")})
-	ids, err = store.list()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(ids, []uint64{6, 7}) {
-		t.Fatalf("retained %v after full checkpoints, want [6 7]", ids)
-	}
-}
-
-// Background compaction folds a threshold-length chain into a new full
-// base: same restored state, manifest rewritten full, chain elements
-// collectable afterwards.
-func TestCompactionFoldsChain(t *testing.T) {
-	store, err := NewDirStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	store.CompactThreshold = 3
-	commitFull(t, store, 1, map[int][]byte{0: []byte("a0"), 1: []byte("b0")})
-	commitDelta(t, store, 2, 1, map[int][]byte{0: []byte("a1")}, []int{1})
-	commitDelta(t, store, 3, 2, map[int][]byte{2: []byte("c0")}, nil)
-	store.WaitCompaction()
-
-	want := map[int]string{0: "a1", 2: "c0"}
-	m, err := store.readManifest(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Delta || m.Parent != 0 || m.Chain != nil {
-		t.Fatalf("compacted manifest still a delta: %+v", m)
-	}
-	if _, err := os.Stat(filepath.Join(store.ckptDir(3), fullStateName)); err != nil {
-		t.Fatalf("no %s after compaction: %v", fullStateName, err)
-	}
-	if got := decodeStage(t, store, 3); !reflect.DeepEqual(got, want) {
-		t.Fatalf("compacted state = %v, want %v", got, want)
-	}
-	// The fold re-bases the chain: a follow-up delta chains onto 3 alone,
-	// and the pre-fold elements become collectable.
-	commitDelta(t, store, 4, 3, map[int][]byte{0: []byte("a2")}, nil)
-	m, err = store.readManifest(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(m.Chain, []uint64{3, 4}) {
-		t.Fatalf("post-compaction chain = %v, want [3 4]", m.Chain)
-	}
-	if got, want := decodeStage(t, store, 4), (map[int]string{0: "a2", 2: "c0"}); !reflect.DeepEqual(got, want) {
-		t.Fatalf("post-compaction replay = %v, want %v", got, want)
-	}
-}
-
-// Kill-during-compaction recovery: compaction performs two atomic renames
-// (merged state, then manifest). A process killed before, between, or
-// after them must leave a directory a fresh store restores identically
-// from. The between window is the interesting one — the full state file
-// already exists while the manifest still replays the chain — and is only
-// equivalent because the merge writes explicit-empty markers for keys the
-// chain emptied.
-func TestCompactionKillWindows(t *testing.T) {
-	want := map[int]string{0: "a1", 2: "c0"}
-	build := func(t *testing.T) *DirStore {
-		store, err := NewDirStore(t.TempDir())
-		if err != nil {
-			t.Fatal(err)
-		}
-		store.Retain = 10
-		commitFull(t, store, 1, map[int][]byte{0: []byte("a0"), 1: []byte("b0")})
-		commitDelta(t, store, 2, 1, map[int][]byte{0: []byte("a1")}, []int{1})
-		commitDelta(t, store, 3, 2, map[int][]byte{2: []byte("c0")}, nil)
-		return store
-	}
-	reopenAndCheck := func(t *testing.T, dir string) {
-		t.Helper()
-		reopened, err := NewDirStore(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := decodeStage(t, reopened, 3); !reflect.DeepEqual(got, want) {
-			t.Fatalf("restored state = %v, want %v", got, want)
-		}
-		// Recovery must also keep writing: a delta on top of the surviving
-		// chain (or fresh base) still replays.
-		commitDelta(t, reopened, 4, 3, map[int][]byte{0: []byte("a2")}, nil)
-		after := map[int]string{0: "a2", 2: "c0"}
-		if got := decodeStage(t, reopened, 4); !reflect.DeepEqual(got, after) {
-			t.Fatalf("post-recovery delta replay = %v, want %v", got, after)
-		}
-	}
-
-	t.Run("before_state_rename", func(t *testing.T) {
-		store := build(t)
-		// The kill left a partially written merge temp file behind.
-		tmp := filepath.Join(store.ckptDir(3), fullStateName+".tmp")
-		if err := os.WriteFile(tmp, []byte("torn half-written merge"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		reopenAndCheck(t, store.Dir())
-		if _, err := os.Stat(tmp); !os.IsNotExist(err) {
-			t.Fatalf("interrupted merge temp not swept: %v", err)
-		}
-	})
-
-	t.Run("between_renames", func(t *testing.T) {
-		store := build(t)
-		manifest := filepath.Join(store.ckptDir(3), manifestName)
-		pre, err := os.ReadFile(manifest)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Run the real compaction, then restore the pre-fold (delta)
-		// manifest: exactly the on-disk state of a kill after the state
-		// rename and before the manifest rename.
-		if err := store.compact(3, []uint64{1, 2, 3}); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(manifest, pre, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		reopenAndCheck(t, store.Dir())
-	})
-
-	t.Run("after_manifest_rename", func(t *testing.T) {
-		store := build(t)
-		if err := store.compact(3, []uint64{1, 2, 3}); err != nil {
-			t.Fatal(err)
-		}
-		reopenAndCheck(t, store.Dir())
-	})
-}
-
-// The between-renames window with a chain that empties a stage's state
-// entirely: the merged full file must explicitly mark the key empty, or a
-// reader preferring it would fall back to nothing while the chain says
-// "empty" — here the stronger claim, byte-level equivalence, is checked
-// via AllStates filtering the marker out.
-func TestCompactionEmptyStateMarker(t *testing.T) {
-	store, err := NewDirStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	store.Retain = 10
-	commitFull(t, store, 1, map[int][]byte{0: []byte("a0")})
-	commitDelta(t, store, 2, 1, nil, []int{0}) // everything emptied
-	if err := store.compact(2, []uint64{1, 2}); err != nil {
-		t.Fatal(err)
-	}
-	m, err := store.readManifest(2)
+// A full-state checkpoint written by an older release carries none of the
+// removed manifest fields and restores unchanged.
+func TestFullStateCheckpointStillLoads(t *testing.T) {
+	blob := flow.EncodeGroupStates(map[int][]byte{0: []byte("a"), 5: []byte("b")})
+	store := legacyDir(t,
+		`{"id":3,"source":{"snapshots":9,"last_tick":8},`+legacyStages+`}`,
+		map[string][]byte{stateName: frameStates(map[string][]byte{"s/0": blob})})
+	m, err := store.Latest()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,15 +121,7 @@ func TestCompactionEmptyStateMarker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(states) != 0 {
-		t.Fatalf("emptied stage restored state %v", states)
-	}
-	// The marker exists on disk (States reads the full file raw).
-	raw, err := store.States(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if blob := raw[StateKey("s", 0)]; len(blob) != 1 || blob[0] != flow.StateGroups {
-		t.Fatalf("merged full file blob = %v, want explicit-empty marker", blob)
+	if got := string(states[StateKey("s", 0)]); got != string(blob) {
+		t.Fatalf("restored blob %x, want %x", got, blob)
 	}
 }

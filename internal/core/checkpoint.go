@@ -20,13 +20,12 @@ import (
 
 // ckptRunner is the per-run checkpoint state machine.
 type ckptRunner struct {
-	coord     *ckpt.Coordinator
-	store     ckpt.Store
-	interval  int64
-	deltaMode bool // cut incremental checkpoints whenever a base exists
-	stats     *metrics.CheckpointStats
-	events    *events.Log // structured event log (nil discards)
-	onCommit  func(id uint64, pats []model.Pattern)
+	coord    *ckpt.Coordinator
+	store    ckpt.Store
+	interval int64
+	stats    *metrics.CheckpointStats
+	events   *events.Log // structured event log (nil discards)
+	onCommit func(id uint64, pats []model.Pattern)
 
 	mu          sync.Mutex
 	count       int64      // source units pushed, including the resumed prefix
@@ -56,24 +55,6 @@ type ckptRunner struct {
 type cutBatch struct {
 	id   uint64
 	pats []model.Pattern
-}
-
-// ckptBarrier is one barrier-injection decision: which checkpoint to cut,
-// and whether it is incremental against base. The runner decides, the
-// pipeline injects (the runner has no pipeline reference).
-type ckptBarrier struct {
-	id    uint64
-	base  uint64
-	delta bool
-}
-
-// injectBarrier submits the barrier a runner decision asked for.
-func (p *Pipeline) injectBarrier(b ckptBarrier) {
-	if b.delta {
-		p.fl.SubmitBarrierDelta(b.id, b.base)
-	} else {
-		p.fl.SubmitBarrier(b.id)
-	}
 }
 
 // ckptStages extracts the manifest stage descriptors from a topology graph.
@@ -107,14 +88,6 @@ func newCkptRunner(cfg *Config, stages []ckpt.StageInfo) (*ckptRunner, *ckpt.Man
 		if err != nil {
 			return nil, nil, err
 		}
-		ds.Paged = cfg.CheckpointPaged
-		ds.Stats = stats
-		if cfg.CheckpointDelta {
-			ds.CompactThreshold = cfg.CheckpointCompact
-			if ds.CompactThreshold <= 0 {
-				ds.CompactThreshold = ckpt.DefaultCompactThreshold
-			}
-		}
 		store = ds
 	}
 	// Manifests are stamped with the semantic fingerprint, not the full
@@ -132,24 +105,13 @@ func newCkptRunner(cfg *Config, stages []ckpt.StageInfo) (*ckptRunner, *ckpt.Man
 	coord.MaxParallelism = cfg.MaxParallelism
 	coord.Stats = stats
 	r := &ckptRunner{
-		coord:     coord,
-		store:     store,
-		interval:  int64(cfg.CheckpointInterval),
-		deltaMode: cfg.CheckpointDelta,
-		stats:     stats,
-		events:    cfg.Events,
-		onCommit:  cfg.OnCommit,
-		nextID:    1,
-	}
-	if ds, ok := store.(*ckpt.DirStore); ok && ds.OnCompact == nil {
-		ds.OnCompact = func(id uint64, chainLen int, err error) {
-			if err != nil {
-				cfg.Events.Emit("compaction", events.F("id", id),
-					events.F("chain", chainLen), events.F("error", err.Error()))
-				return
-			}
-			cfg.Events.Emit("compaction", events.F("id", id), events.F("chain", chainLen))
-		}
+		coord:    coord,
+		store:    store,
+		interval: int64(cfg.CheckpointInterval),
+		stats:    stats,
+		events:   cfg.Events,
+		onCommit: cfg.OnCommit,
+		nextID:   1,
 	}
 	if cfg.SourcePartitions > 0 {
 		r.partRecs = make([]int64, cfg.SourcePartitions)
@@ -193,8 +155,7 @@ func newCkptRunner(cfg *Config, stages []ckpt.StageInfo) (*ckptRunner, *ckpt.Man
 			}
 			cfg.Events.Emit("restore", events.F("id", man.ID),
 				events.F("last_tick", int64(man.Source.LastTick)),
-				events.F("snapshots", man.Source.Snapshots),
-				events.F("delta", man.Delta))
+				events.F("snapshots", man.Source.Snapshots))
 			emitRescale(cfg.Events, man, stages)
 		}
 	}
@@ -234,13 +195,13 @@ func (r *ckptRunner) ack(id uint64, stage, subtask int, state []byte, err error)
 // afterPush records one pushed snapshot and decides whether the barrier
 // for a new checkpoint must be injected behind it. The caller submits the
 // barrier (the runner has no pipeline reference, keeping it testable).
-func (r *ckptRunner) afterPush(tick model.Tick) (b ckptBarrier, inject bool) {
+func (r *ckptRunner) afterPush(tick model.Tick) (id uint64, inject bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.count++
 	r.lastTick = tick
 	if r.interval <= 0 || r.count-r.lastBarrier < r.interval {
-		return ckptBarrier{}, false
+		return 0, false
 	}
 	return r.beginLocked(), true
 }
@@ -254,7 +215,7 @@ func (r *ckptRunner) afterPush(tick model.Tick) (b ckptBarrier, inject bool) {
 // The caller holds the pipeline's source mutex and submits the barrier
 // before the record, so the counted prefix is exactly the record set ahead
 // of the barrier on every source edge.
-func (r *ckptRunner) beforePushRecord(part int, tick model.Tick) (b ckptBarrier, inject bool) {
+func (r *ckptRunner) beforePushRecord(part int, tick model.Tick) (id uint64, inject bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.interval > 0 {
@@ -263,7 +224,7 @@ func (r *ckptRunner) beforePushRecord(part int, tick model.Tick) (b ckptBarrier,
 			r.nextBarrierTick = tick + model.Tick(r.interval)
 			r.haveCadence = true
 		case tick >= r.nextBarrierTick && r.count > r.lastBarrier:
-			b = r.beginLocked() // position excludes the record behind the barrier
+			id = r.beginLocked() // position excludes the record behind the barrier
 			r.nextBarrierTick = tick + model.Tick(r.interval)
 			inject = true
 		}
@@ -278,22 +239,24 @@ func (r *ckptRunner) beforePushRecord(part int, tick model.Tick) (b ckptBarrier,
 			r.partTicks[part] = tick
 		}
 	}
-	return b, inject
+	return id, inject
 }
 
 // finalBarrier opens a last checkpoint covering the stream tail, injected
 // by Finish before the drain so a graceful shutdown leaves a resumable
 // cut. It is skipped when nothing was pushed since the previous barrier.
-func (r *ckptRunner) finalBarrier() (b ckptBarrier, inject bool) {
+func (r *ckptRunner) finalBarrier() (id uint64, inject bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.count == r.lastBarrier {
-		return ckptBarrier{}, false
+		return 0, false
 	}
 	return r.beginLocked(), true
 }
 
-func (r *ckptRunner) beginLocked() ckptBarrier {
+// beginLocked opens the next checkpoint at the current source position
+// and returns its id.
+func (r *ckptRunner) beginLocked() uint64 {
 	id := r.nextID
 	r.nextID++
 	r.lastBarrier = r.count
@@ -307,25 +270,13 @@ func (r *ckptRunner) beginLocked() ckptBarrier {
 			}
 		}
 	}
-	b := ckptBarrier{id: id}
-	if r.deltaMode {
-		// Incremental against the newest checkpoint committed by THIS
-		// process incarnation: a base from before a restart would predate
-		// the operators' dirtiness tracking (delta chains never span
-		// restarts), so the first cut after start/resume is always full.
-		// Completed ids are monotone, hence so are successive bases.
-		if done, ok := r.coord.Completed(); ok {
-			b.base, b.delta = done, true
-		}
-	}
-	if err := r.coord.Begin(id, pos, b.base, b.delta); err != nil {
+	if err := r.coord.Begin(id, pos); err != nil {
 		// Ids are assigned here and only here; Begin cannot collide.
 		panic(fmt.Sprintf("core: %v", err))
 	}
 	r.events.Emit("checkpoint.begin", events.F("id", id),
-		events.F("delta", b.delta), events.F("base", b.base),
 		events.F("snapshots", r.count), events.F("last_tick", int64(r.lastTick)))
-	return b
+	return id
 }
 
 // onPattern buffers one emitted pattern for output commit. Returns false
@@ -362,8 +313,7 @@ func (r *ckptRunner) onComplete(m ckpt.Manifest) {
 		r.maxDurable = m.ID
 	}
 	r.mu.Unlock()
-	r.events.Emit("checkpoint.complete", events.F("id", m.ID),
-		events.F("delta", m.Delta), events.F("chain", len(m.Chain)))
+	r.events.Emit("checkpoint.complete", events.F("id", m.ID))
 	r.release()
 }
 

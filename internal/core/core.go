@@ -163,33 +163,6 @@ type Config struct {
 	// CheckpointStore overrides the checkpoint store backend (tests,
 	// alternative backends). Defaults to a DirStore over CheckpointDir.
 	CheckpointStore ckpt.Store
-	// CheckpointAsync takes snapshot encoding off the hot path: at each
-	// barrier an operator's state is captured synchronously (cheap), while
-	// blob assembly and the coordinator ack run on background goroutines.
-	// Results and checkpoint contents are identical to the synchronous
-	// default; only when the work happens changes. Pure deployment knob:
-	// not fingerprinted, may change across a resume.
-	CheckpointAsync bool
-	// CheckpointDelta cuts incremental checkpoints: after the first full
-	// checkpoint, each cut persists only the key groups dirtied since the
-	// last completed one, and the store maintains the resulting delta
-	// chains (restore replays them; background compaction folds long
-	// chains into new bases). The first checkpoint after a start or resume
-	// is always full. Pure deployment knob: not fingerprinted, may change
-	// across a resume. The synchronous full-state default remains the
-	// oracle path.
-	CheckpointDelta bool
-	// CheckpointCompact is the delta-chain length that triggers background
-	// store compaction (default ckpt.DefaultCompactThreshold when
-	// CheckpointDelta is set; ignored otherwise). Only applies to the
-	// default DirStore backend.
-	CheckpointCompact int
-	// CheckpointPaged stores checkpoint state in a paged blob file
-	// (fixed-size pages with a free list) instead of one contiguous framed
-	// file, so a large operator blob never has to be written or read as a
-	// single []byte. Only applies to the default DirStore backend. Pure
-	// deployment knob: stores of either layout restore interchangeably.
-	CheckpointPaged bool
 	// Resume restores operator state from the latest completed checkpoint
 	// in the store before starting, and reports the replay position via
 	// Pipeline.ResumePosition. A store without any completed checkpoint
@@ -218,7 +191,7 @@ type Config struct {
 	// fingerprinted, so it can be added or dropped across a resume.
 	Obs *obs.Registry
 	// Events, when set, receives the structured event log (JSON lines):
-	// checkpoint begin/complete, restore, rescale, compaction. Pure
+	// checkpoint begin/complete, restore, rescale, worker disconnect. Pure
 	// deployment knob like Obs. A nil log discards events, so call sites
 	// need no guards.
 	Events *events.Log
@@ -298,15 +271,6 @@ func (c *Config) fill() error {
 		if c.OnCommit != nil {
 			return fmt.Errorf("core: OnCommit requires CheckpointInterval > 0")
 		}
-		if c.CheckpointAsync || c.CheckpointDelta || c.CheckpointPaged {
-			return fmt.Errorf("core: CheckpointAsync/Delta/Paged require CheckpointInterval > 0")
-		}
-	}
-	if c.CheckpointCompact < 0 {
-		return fmt.Errorf("core: negative CheckpointCompact %d", c.CheckpointCompact)
-	}
-	if c.CheckpointCompact > 0 && !c.CheckpointDelta {
-		return fmt.Errorf("core: CheckpointCompact requires CheckpointDelta (only delta chains compact)")
 	}
 	return nil
 }
@@ -505,7 +469,6 @@ func New(cfg Config) (*Pipeline, error) {
 		p.ck = runner
 		g.OnCheckpointState = runner.ack
 		g.SinkBarrier = runner.onSinkBarrier
-		g.AsyncSnapshots = p.cfg.CheckpointAsync
 		g.CkptStats = runner.stats
 		if man != nil {
 			// RestoreFunc re-slices the blobs onto this run's per-stage
@@ -555,8 +518,8 @@ func (p *Pipeline) PushSnapshot(s *model.Snapshot) {
 	if p.ck != nil {
 		// The barrier rides behind the snapshot's watermark, so the
 		// checkpoint cut falls exactly between two ticks of the stream.
-		if b, inject := p.ck.afterPush(s.Tick); inject {
-			p.injectBarrier(b)
+		if id, inject := p.ck.afterPush(s.Tick); inject {
+			p.fl.SubmitBarrier(id)
 		}
 	}
 	p.mets.mu.Lock()
@@ -599,8 +562,8 @@ func (p *Pipeline) PushRecord(obj model.ObjectID, loc geo.Point, tick model.Tick
 	// out first so the cut falls on a tick boundary of an ordered stream.
 	p.srcMu.Lock()
 	part := stream.PartitionFor(obj, p.cfg.MaxParallelism, p.cfg.SourcePartitions)
-	if b, inject := p.ck.beforePushRecord(part, tick); inject {
-		p.injectBarrier(b)
+	if id, inject := p.ck.beforePushRecord(part, tick); inject {
+		p.fl.SubmitBarrier(id)
 	}
 	p.fl.Submit(uint64(obj), rec)
 	p.srcMu.Unlock()
@@ -672,8 +635,8 @@ func (p *Pipeline) Finish() Result {
 	if p.ck != nil {
 		// A final checkpoint ahead of the drain leaves a resumable cut for
 		// graceful shutdowns (the barrier precedes the close on every edge).
-		if b, inject := p.ck.finalBarrier(); inject {
-			p.injectBarrier(b)
+		if id, inject := p.ck.finalBarrier(); inject {
+			p.fl.SubmitBarrier(id)
 		}
 	}
 	p.fl.Drain()
@@ -811,8 +774,8 @@ func (p *Pipeline) StageBusy() []time.Duration { return p.fl.StageBusy() }
 func (p *Pipeline) StageSubtaskBusy(stage int) []time.Duration { return p.fl.StageSubtaskBusy(stage) }
 
 // CheckpointStats returns the run's checkpoint observability counters
-// (capture vs. encode vs. upload time, bytes per cut, delta/full mix,
-// chain length). Zero-valued when checkpointing is disabled.
+// (capture vs. encode vs. upload time, bytes and completed cuts).
+// Zero-valued when checkpointing is disabled.
 func (p *Pipeline) CheckpointStats() metrics.CheckpointSnapshot {
 	if p.ck == nil {
 		return metrics.CheckpointSnapshot{}

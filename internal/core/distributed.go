@@ -43,10 +43,6 @@ type Spec struct {
 	SourceSlack      int64   `json:"source_slack,omitempty"`
 	SourceSilence    int64   `json:"source_silence,omitempty"`
 	Incremental      bool    `json:"incremental,omitempty"`
-	// CheckpointAsync ships to workers so their subtasks defer snapshot
-	// encoding off the barrier path too. It is a deployment knob — absent
-	// from fingerprintSpec — as it cannot change what a checkpoint holds.
-	CheckpointAsync bool `json:"checkpoint_async,omitempty"`
 }
 
 // EncodeSpec serializes the topology-determining part of cfg.
@@ -72,7 +68,6 @@ func EncodeSpec(cfg Config) ([]byte, error) {
 		SourceSlack:      int64(cfg.SourceSlack),
 		SourceSilence:    int64(cfg.SourceSilence),
 		Incremental:      cfg.Incremental,
-		CheckpointAsync:  cfg.CheckpointAsync,
 	})
 }
 
@@ -161,10 +156,6 @@ func DecodeSpec(data []byte) (Config, error) {
 	if err := cfg.fill(); err != nil {
 		return Config{}, err
 	}
-	// Stamped after validation: the coordinator owns the barrier cadence,
-	// so the worker-side Config legitimately pairs CheckpointAsync with a
-	// zero CheckpointInterval (which fill rejects for local runs).
-	cfg.CheckpointAsync = s.CheckpointAsync
 	return cfg, nil
 }
 
@@ -360,7 +351,6 @@ func RunWorkerOpts(coordAddr string, opts WorkerOptions) (WorkerStats, error) {
 	// stream, and handshake-shipped state is restored before any input.
 	g.OnCheckpointState = w.CheckpointAck()
 	g.SinkBarrier = w.SinkBarrier()
-	g.AsyncSnapshots = cfg.CheckpointAsync
 	g.Restore = w.RestoreState
 	var ckstats *metrics.CheckpointStats
 	if opts.Metrics != nil {

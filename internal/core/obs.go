@@ -41,7 +41,6 @@ const (
 	mCkptUpload    = "icpe_checkpoint_upload_seconds_total"
 	mCkptBytes     = "icpe_checkpoint_bytes_total"
 	mCkptCuts      = "icpe_checkpoint_cuts_total"
-	mCkptChain     = "icpe_checkpoint_chain_length"
 	mLatency       = "icpe_latency_seconds"
 	mCompletionHis = "icpe_completion_latency_seconds"
 )
@@ -102,18 +101,14 @@ func registerCheckpointMetrics(reg *obs.Registry, stats *metrics.CheckpointStats
 	encode := reg.Counter(mCkptEncode, "Cumulative checkpoint blob assembly time in seconds.")
 	upload := reg.Counter(mCkptUpload, "Cumulative checkpoint store persistence time in seconds.")
 	bytes := reg.Counter(mCkptBytes, "Total checkpoint state bytes written.")
-	deltaCuts := reg.Counter(mCkptCuts, "Completed checkpoints by kind.", obs.L("kind", "delta"))
-	fullCuts := reg.Counter(mCkptCuts, "Completed checkpoints by kind.", obs.L("kind", "full"))
-	chain := reg.Gauge(mCkptChain, "Delta-chain length of the latest completed checkpoint (1 = full).")
+	cuts := reg.Counter(mCkptCuts, "Completed checkpoints.")
 	reg.OnGather(func() {
 		s := stats.Snapshot()
 		capture.Set(s.Capture.Seconds())
 		encode.Set(s.Encode.Seconds())
 		upload.Set(s.Upload.Seconds())
 		bytes.Set(float64(s.Bytes))
-		deltaCuts.Set(float64(s.DeltaCuts))
-		fullCuts.Set(float64(s.FullCuts))
-		chain.Set(float64(s.ChainLen))
+		cuts.Set(float64(s.FullCuts))
 	})
 }
 

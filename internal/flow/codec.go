@@ -137,12 +137,9 @@ var encScratch = sync.Pool{New: func() any {
 //
 //	[flags][From uvarint]
 //	watermark: [WM varint]
-//	barrier:   [CP uvarint][mode byte][CPBase uvarint]
+//	barrier:   [CP uvarint]
 //	batch:     [count uvarint] then per item [len uvarint][kind][body]
 //	record:    [kind][body]
-//
-// A barrier's mode byte is 1 for an incremental (delta) checkpoint and 0
-// for a full one; CPBase is meaningful only in delta mode.
 //
 // Every record type crossing a networked edge must have a registered Codec.
 func AppendMessage(buf []byte, m Message) ([]byte, error) {
@@ -162,13 +159,7 @@ func AppendMessage(buf []byte, m Message) ([]byte, error) {
 	case m.IsWM:
 		return binary.AppendVarint(buf, int64(m.WM)), nil
 	case m.IsBarrier:
-		buf = binary.AppendUvarint(buf, m.CP)
-		mode := byte(0)
-		if m.CPDelta {
-			mode = 1
-		}
-		buf = append(buf, mode)
-		return binary.AppendUvarint(buf, m.CPBase), nil
+		return binary.AppendUvarint(buf, m.CP), nil
 	case isBatch:
 		buf = binary.AppendUvarint(buf, uint64(len(batch.Items)))
 		// The per-item scratch comes from a pool: encoding dominates the
@@ -230,12 +221,10 @@ func DecodeMessage(data []byte) (Message, error) {
 		return Message{From: from, WM: model.Tick(wm), IsWM: true}, nil
 	case flags&flagBarrier != 0:
 		cp := d.Uvarint()
-		mode := d.Byte()
-		base := d.Uvarint()
 		if err := d.Err(); err != nil {
 			return Message{}, err
 		}
-		return Message{From: from, CP: cp, CPDelta: mode == 1, CPBase: base, IsBarrier: true}, nil
+		return Message{From: from, CP: cp, IsBarrier: true}, nil
 	case flags&flagBatch != 0:
 		n := int(d.Uvarint())
 		if err := d.Err(); err != nil {

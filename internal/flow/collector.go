@@ -16,8 +16,6 @@ type outEvent struct {
 	wm        model.Tick
 	isWM      bool
 	cp        uint64
-	cpBase    uint64
-	cpDelta   bool
 	isBarrier bool
 }
 
@@ -92,11 +90,10 @@ func (c *Collector) Watermark(wm model.Tick) {
 // after the subtask's state snapshot; operators never emit barriers). Open
 // batches are sealed first so every pre-barrier record stays ahead of the
 // barrier on its edge — the FIFO property that makes the checkpoint a
-// consistent cut. The (base, delta) pair is forwarded unchanged so every
-// downstream subtask cuts the same kind of checkpoint.
-func (c *Collector) Barrier(id, base uint64, delta bool) {
+// consistent cut.
+func (c *Collector) Barrier(id uint64) {
 	c.sealAll()
-	c.buf = append(c.buf, outEvent{cp: id, cpBase: base, cpDelta: delta, isBarrier: true})
+	c.buf = append(c.buf, outEvent{cp: id, isBarrier: true})
 }
 
 // seal closes destination to's open batch and queues it for delivery.
@@ -124,7 +121,7 @@ func (c *Collector) flush() {
 				c.p.sinkBarrier(c.subtask, oe.cp)
 			} else {
 				for _, ep := range c.next {
-					ep.Send(Message{From: c.subtask, CP: oe.cp, CPBase: oe.cpBase, CPDelta: oe.cpDelta, IsBarrier: true})
+					ep.Send(Message{From: c.subtask, CP: oe.cp, IsBarrier: true})
 				}
 			}
 		case oe.isWM:

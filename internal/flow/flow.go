@@ -107,8 +107,6 @@ type Pipeline struct {
 	sinkBarFn func(id uint64)
 	restoreFn func(stage, subtask int) []byte
 
-	async   bool           // defer blob assembly + ack off the barrier handler
-	snapWG  sync.WaitGroup // outstanding async snapshot completions
 	ckstats *metrics.CheckpointStats
 
 	started bool
@@ -142,22 +140,10 @@ type Config struct {
 	// OnCheckpointState receives one subtask's state snapshot when it
 	// completes barrier alignment for checkpoint id. state is nil for
 	// operators without a SnapshotState method; err reports a snapshot
-	// failure (the checkpoint coordinator aborts that checkpoint id). With
-	// AsyncSnapshots off it is called before the barrier is forwarded
-	// downstream; with it on, blob assembly and this callback run on a
-	// background goroutine and may fire after the barrier (and even after
-	// later barriers) have been forwarded. Called from subtask or snapshot
+	// failure (the checkpoint coordinator aborts that checkpoint id). It is
+	// called before the barrier is forwarded downstream, from subtask
 	// goroutines; implementations must be safe for concurrent use.
 	OnCheckpointState func(id uint64, stage, subtask int, state []byte, err error)
-	// AsyncSnapshots moves state-blob assembly and the OnCheckpointState
-	// ack off the barrier handler: the operator's state is still captured
-	// synchronously at the aligned cut (operators are never touched
-	// concurrently), but encoding and acking happen on a background
-	// goroutine so the subtask resumes processing immediately. The
-	// checkpoint becomes durable — and the coordinator commits it — only
-	// when every deferred ack lands, which the exactly-once sink cut
-	// already waits for.
-	AsyncSnapshots bool
 	// Stats, when non-nil, accrues checkpoint observability counters
 	// (capture vs. encode time, bytes per cut).
 	Stats *metrics.CheckpointStats
@@ -197,7 +183,6 @@ func NewPipeline(cfg Config, stages ...StageSpec) *Pipeline {
 		onCkpt:    cfg.OnCheckpointState,
 		sinkBarFn: cfg.SinkBarrier,
 		restoreFn: cfg.Restore,
-		async:     cfg.AsyncSnapshots,
 		ckstats:   cfg.Stats,
 	}
 	p.local = make([]bool, len(stages))
@@ -294,19 +279,6 @@ type groupRestorer interface {
 	RestoreGroup(data []byte) error
 }
 
-// groupCapturer is the structural form of ckpt.DeltaSnapshotter: operators
-// that track per-routing-key dirtiness can cut incremental checkpoints.
-// CaptureGroups runs synchronously inside the barrier handler (the runtime
-// never reads operator state concurrently); with delta set it returns only
-// the key groups dirtied since the completed base checkpoint, plus the
-// groups whose state became empty (tombstones). With delta unset it
-// returns the full state, exactly like SnapshotGroups. The returned frames
-// must not alias mutable operator state: blob assembly may happen on a
-// background goroutine after the operator resumes processing.
-type groupCapturer interface {
-	CaptureGroups(group func(key uint64) int, id, base uint64, delta bool) (frames map[int][]byte, dropped []int, err error)
-}
-
 // keyGroupOf is the pipeline's key→group mapping, handed to group
 // snapshotters so their buckets match the exchange routing exactly.
 func (p *Pipeline) keyGroupOf(key uint64) int { return KeyGroup(key, p.maxPar) }
@@ -319,52 +291,24 @@ func (p *Pipeline) route(key uint64, n int) int {
 
 // captureOp captures one operator's state at an aligned barrier and
 // returns a closure that assembles the self-describing blob: group-framed
-// for key-group snapshotters, delta-framed for capturers in delta mode,
-// raw for plain snapshotters, nil for stateless operators. The split is
-// what makes snapshots asynchronous: the capture (the only part touching
-// operator state) runs synchronously in the barrier handler, while the
-// returned closure only copies already-captured bytes and may run on a
-// background goroutine.
-//
-// In a delta cut, absence of a blob means "unchanged since the base", so
-// operators without delta support — which re-emit their full state every
-// cut — must make emptiness explicit: their nil blobs become tag-only
-// blobs that chain replay treats as a wholesale replace with empty state.
-func (p *Pipeline) captureOp(op Operator, id, base uint64, delta bool) (func() []byte, error) {
+// for key-group snapshotters, raw for plain snapshotters, nil for
+// stateless operators. The capture runs inside the operator slot; the
+// assembly only copies already-captured bytes, so it is timed (and
+// accounted) separately as encode work.
+func (p *Pipeline) captureOp(op Operator) (func() []byte, error) {
 	switch s := op.(type) {
-	case groupCapturer:
-		frames, dropped, err := s.CaptureGroups(p.keyGroupOf, id, base, delta)
-		if err != nil {
-			return nil, err
-		}
-		if delta {
-			return func() []byte { return EncodeGroupDeltas(frames, dropped) }, nil
-		}
-		return func() []byte { return EncodeGroupStates(frames) }, nil
 	case groupSnapshotter:
 		groups, err := s.SnapshotGroups(p.keyGroupOf)
 		if err != nil {
 			return nil, err
 		}
-		return func() []byte {
-			b := EncodeGroupStates(groups)
-			if b == nil && delta {
-				b = []byte{StateGroups}
-			}
-			return b
-		}, nil
+		return func() []byte { return EncodeGroupStates(groups) }, nil
 	case snapshotter:
 		raw, err := s.SnapshotState()
 		if err != nil {
 			return nil, err
 		}
-		return func() []byte {
-			b := EncodeRawState(raw)
-			if b == nil && delta {
-				b = []byte{StateRaw}
-			}
-			return b
-		}, nil
+		return func() []byte { return EncodeRawState(raw) }, nil
 	default:
 		return nil, nil
 	}
@@ -415,8 +359,6 @@ func (p *Pipeline) restoreOp(stage, subtask int, op Operator, blob []byte) {
 // k-1 first.
 type alignState struct {
 	id      uint64
-	base    uint64 // base checkpoint id when delta is set
-	delta   bool   // incremental cut: capture only state dirtied since base
 	arrived []bool
 	n       int
 	held    []Message
@@ -478,38 +420,25 @@ func (p *Pipeline) runSubtask(stage, subtask, senders int, op Operator, next []E
 		out.flush()
 	}
 
-	// complete captures the operator's state at the aligned cut, forwards
-	// the barrier, and replays the input held back during alignment. The
-	// ack (blob assembly + OnCheckpointState) runs inline before the
-	// barrier in sync mode, or on a background goroutine in async mode so
-	// the subtask resumes the hot path immediately after the capture.
+	// complete captures the operator's state at the aligned cut, acks it
+	// (blob assembly + OnCheckpointState), forwards the barrier, and
+	// replays the input held back during alignment.
 	complete := func(a *alignState) {
 		p.acquire()
 		t0 := time.Now()
-		assemble, err := p.captureOp(op, a.id, a.base, a.delta)
+		assemble, err := p.captureOp(op)
 		p.ckstats.AddCapture(time.Since(t0))
 		p.release()
-		ack := func() {
-			var state []byte
-			if err == nil && assemble != nil {
-				t1 := time.Now()
-				state = assemble()
-				p.ckstats.AddEncode(time.Since(t1), len(state))
-			}
-			if p.onCkpt != nil {
-				p.onCkpt(a.id, stage, subtask, state, err)
-			}
+		var state []byte
+		if err == nil && assemble != nil {
+			t1 := time.Now()
+			state = assemble()
+			p.ckstats.AddEncode(time.Since(t1), len(state))
 		}
-		if p.async {
-			p.snapWG.Add(1)
-			go func() {
-				defer p.snapWG.Done()
-				ack()
-			}()
-		} else {
-			ack()
+		if p.onCkpt != nil {
+			p.onCkpt(a.id, stage, subtask, state, err)
 		}
-		out.Barrier(a.id, a.base, a.delta)
+		out.Barrier(a.id)
 		out.flush()
 		for _, h := range a.held {
 			handle(h)
@@ -531,7 +460,7 @@ func (p *Pipeline) runSubtask(stage, subtask, senders int, op Operator, next []E
 				}
 			}
 			if a == nil {
-				a = &alignState{id: ev.CP, base: ev.CPBase, delta: ev.CPDelta, arrived: make([]bool, senders)}
+				a = &alignState{id: ev.CP, arrived: make([]bool, senders)}
 				aligns = append(aligns, a)
 			}
 			if ev.From >= 0 && ev.From < senders && !a.arrived[ev.From] {
@@ -616,17 +545,6 @@ func (p *Pipeline) SubmitBarrier(id uint64) {
 	}
 }
 
-// SubmitBarrierDelta injects an incremental barrier: operators capture
-// only state dirtied since the completed base checkpoint. The driver must
-// guarantee base is durable and was taken by this pipeline incarnation
-// (delta chains never span restarts), so every operator still holds the
-// dirtiness watermark for it.
-func (p *Pipeline) SubmitBarrierDelta(id, base uint64) {
-	for _, ep := range p.inputs[0] {
-		ep.Send(Message{From: 0, CP: id, CPBase: base, CPDelta: true, IsBarrier: true})
-	}
-}
-
 // Drain closes the source and blocks until every local stage has flushed.
 // When the last stage runs in another process (distributed mode), Drain
 // returns once the local share is done; the driver must additionally wait
@@ -649,7 +567,6 @@ func (p *Pipeline) WaitLocal() {
 		}
 	}
 	p.closeWG.Wait()
-	p.snapWG.Wait() // deferred async acks; no-op in sync mode
 }
 
 // StageNames returns the stage names in pipeline order.

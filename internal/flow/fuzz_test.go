@@ -46,60 +46,3 @@ func FuzzDecodeGroupStates(f *testing.F) {
 		}
 	})
 }
-
-// FuzzDecodeGroupDeltas hardens the incremental-cut codec: tombstone
-// counts and frame lengths come off the wire and must be bounded by the
-// payload, and valid delta blobs must round-trip frames and tombstones
-// exactly.
-func FuzzDecodeGroupDeltas(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte{StateGroupDeltas})
-	f.Add([]byte{StateGroupDeltas, 0xFF, 0xFF, 0xFF}) // huge tombstone count
-	f.Add(EncodeGroupDeltas(nil, []int{0, 5}))
-	f.Add(EncodeGroupDeltas(map[int][]byte{1: []byte("x")}, nil))
-	f.Add(EncodeGroupDeltas(map[int][]byte{2: []byte("frame"), 9: []byte("y")}, []int{0, 127}))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		frames, dropped, err := DecodeGroupDeltas(data)
-		if err != nil {
-			return
-		}
-		if len(dropped) > len(data) {
-			t.Fatalf("%d tombstones decoded from %d bytes", len(dropped), len(data))
-		}
-		groups := make(map[int][]byte, len(frames))
-		for _, fr := range frames {
-			groups[fr.Group] = fr.Data
-		}
-		blob := EncodeGroupDeltas(groups, dropped)
-		if blob == nil {
-			// A no-frame, no-tombstone delta canonicalizes to nil
-			// ("unchanged since base"), which is not itself decodable.
-			return
-		}
-		frames2, dropped2, err := DecodeGroupDeltas(blob)
-		if err != nil {
-			t.Fatalf("re-decode failed: %v", err)
-		}
-		m2 := make(map[int][]byte, len(frames2))
-		for _, fr := range frames2 {
-			m2[fr.Group] = fr.Data
-		}
-		for g, d := range groups {
-			if len(d) == 0 {
-				continue // empty frames are canonicalized away
-			}
-			if !reflect.DeepEqual(m2[g], d) {
-				t.Fatalf("group %d changed across round trip", g)
-			}
-		}
-		drops := make(map[int]bool, len(dropped))
-		for _, g := range dropped {
-			drops[g] = true
-		}
-		for _, g := range dropped2 {
-			if !drops[g] {
-				t.Fatalf("tombstone %d appeared across round trip", g)
-			}
-		}
-	})
-}

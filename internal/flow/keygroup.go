@@ -49,14 +49,10 @@ func KeyGroupRange(maxParallelism, parallelism, subtask int) (start, end int) {
 // blob is its format tag. StateRaw blobs are opaque subtask-scoped state
 // (plain Snapshotters) — they restore only at the parallelism that took
 // them. StateGroups blobs are a sequence of per-key-group frames and can
-// be re-sliced across any parallelism ≤ MaxParallelism. StateGroupDeltas
-// blobs carry only the key groups dirtied since a base checkpoint (frames
-// replace their group wholesale; tombstoned groups are deleted) and are
-// meaningful only as elements of a delta chain rooted at a full blob.
+// be re-sliced across any parallelism ≤ MaxParallelism.
 const (
-	StateRaw         byte = 0
-	StateGroups      byte = 1
-	StateGroupDeltas byte = 2
+	StateRaw    byte = 0
+	StateGroups byte = 1
 )
 
 // GroupState is one key group's state inside a group-framed subtask blob.
@@ -123,71 +119,4 @@ func DecodeGroupStates(blob []byte) ([]GroupState, error) {
 		out = append(out, GroupState{Group: g, Data: append([]byte(nil), data...)})
 	}
 	return out, d.Err()
-}
-
-// EncodeGroupDeltas encodes an incremental cut of key-group state as a
-// StateGroupDeltas blob: the tag byte, the tombstoned group ids (groups
-// whose state became empty since the base checkpoint), then the dirty
-// groups' replacement frames in StateGroups framing. Both lists are sorted
-// ascending so identical deltas are byte-identical. A cut with no dirty
-// and no tombstoned groups encodes to nil: absence means "unchanged since
-// the base", which chain replay distinguishes from an explicit empty
-// state.
-//
-//	[StateGroupDeltas][ndrop uvarint][group uvarint]*ndrop
-//	                  ([group uvarint][len uvarint][data])*
-func EncodeGroupDeltas(groups map[int][]byte, dropped []int) []byte {
-	live := make([]int, 0, len(groups))
-	for g, d := range groups {
-		if len(d) > 0 {
-			live = append(live, g)
-		}
-	}
-	if len(live) == 0 && len(dropped) == 0 {
-		return nil
-	}
-	sort.Ints(live)
-	drop := append([]int(nil), dropped...)
-	sort.Ints(drop)
-	buf := []byte{StateGroupDeltas}
-	buf = binary.AppendUvarint(buf, uint64(len(drop)))
-	for _, g := range drop {
-		buf = binary.AppendUvarint(buf, uint64(g))
-	}
-	for _, g := range live {
-		buf = binary.AppendUvarint(buf, uint64(g))
-		buf = binary.AppendUvarint(buf, uint64(len(groups[g])))
-		buf = append(buf, groups[g]...)
-	}
-	return buf
-}
-
-// DecodeGroupDeltas parses a StateGroupDeltas blob into its replacement
-// frames and tombstoned group ids.
-func DecodeGroupDeltas(blob []byte) (frames []GroupState, dropped []int, err error) {
-	d := NewDec(blob)
-	if tag := d.Byte(); tag != StateGroupDeltas {
-		d.Failf("state blob tag %d is not a key-group delta", tag)
-		return nil, nil, d.Err()
-	}
-	nd := int(d.Uvarint())
-	if nd < 0 || nd > d.Remaining() { // each tombstone needs >= 1 byte
-		d.Failf("tombstone count %d exceeds payload", nd)
-		return nil, nil, d.Err()
-	}
-	for i := 0; i < nd && d.Err() == nil; i++ {
-		dropped = append(dropped, int(d.Uvarint()))
-	}
-	for d.Err() == nil && d.Remaining() > 0 {
-		g := int(d.Uvarint())
-		data := d.Bytes(int(d.Uvarint()))
-		if d.Err() != nil {
-			break
-		}
-		frames = append(frames, GroupState{Group: g, Data: append([]byte(nil), data...)})
-	}
-	if err := d.Err(); err != nil {
-		return nil, nil, err
-	}
-	return frames, dropped, nil
 }

@@ -27,14 +27,6 @@ type Message struct {
 	// edge. Barriers are injected at the source (SubmitBarrier), aligned and
 	// forwarded by the runtime; operators never see them.
 	IsBarrier bool
-	// CPDelta marks the barrier's checkpoint as incremental: operators
-	// capture only state dirtied since the completed base checkpoint CPBase
-	// instead of a full snapshot. The pair rides the barrier so every
-	// subtask — local or remote — cuts the same kind of checkpoint without
-	// out-of-band coordination.
-	CPDelta bool
-	// CPBase is the base checkpoint id of a delta barrier (CPDelta set).
-	CPBase uint64
 }
 
 // Batch is the carrier for records coalesced on a keyed exchange. Senders

@@ -99,9 +99,11 @@ func Allocate(idx int32, loc geo.Point, lg, eps float64, mode Mode, emit func(Ob
 		y0 = int32(math.Floor((loc.Y - eps) / lg))
 	}
 	y1 := int32(math.Floor((loc.Y + eps) / lg))
-	for x := x0; x <= x1; x++ {
-		for y := y0; y <= y1; y++ {
-			k := Key{X: x, Y: y}
+	// The loops run on int64 so a bound at math.MaxInt32 terminates
+	// instead of wrapping around the int32 range.
+	for x := int64(x0); x <= int64(x1); x++ {
+		for y := int64(y0); y <= int64(y1); y++ {
+			k := Key{X: int32(x), Y: int32(y)}
 			if k == home {
 				continue
 			}

@@ -22,6 +22,35 @@ func TestKeyOf(t *testing.T) {
 	}
 }
 
+// A location whose range reaches cell column math.MaxInt32 must allocate
+// its handful of cells and stop: an int32 loop counter wraps at that bound
+// and never terminates.
+func TestAllocateAtInt32Bound(t *testing.T) {
+	const lg, eps = 10.0, 10.0
+	edge := (math.MaxInt32 - 0.5) * lg
+	for _, tc := range []struct {
+		loc  geo.Point
+		mode Mode
+		want int // data object + query objects
+	}{
+		{geo.Point{X: edge, Y: 0}, UpperHalf, 6},  // 3 columns x 2 rows
+		{geo.Point{X: edge, Y: 0}, FullRegion, 9}, // 3 columns x 3 rows
+		{geo.Point{X: 0, Y: edge}, UpperHalf, 6},  // 3 columns x 2 rows
+		{geo.Point{X: edge, Y: edge}, FullRegion, 9},
+	} {
+		n := 0
+		Allocate(0, tc.loc, lg, eps, tc.mode, func(Object) {
+			n++
+			if n > 100 {
+				t.Fatalf("%+v mode %d: more than 100 objects emitted (counter wrapped)", tc.loc, tc.mode)
+			}
+		})
+		if n != tc.want {
+			t.Errorf("%+v mode %d: %d objects, want %d", tc.loc, tc.mode, n, tc.want)
+		}
+	}
+}
+
 func TestKeyString(t *testing.T) {
 	if got := (Key{1, 2}).String(); got != "<1,2>" {
 		t.Errorf("String = %q", got)

@@ -182,21 +182,18 @@ func (m *Mean) Value() float64 {
 }
 
 // CheckpointStats aggregates checkpoint-path observability counters: how
-// long operators stall inside the barrier handler (capture) versus how
-// much work rides the background path (encode + store upload), how many
-// bytes each cut persists, the incremental-vs-full cut mix, and the length
-// of the current delta chain. One instance is shared by the flow runtime
-// (capture/encode) and the checkpoint coordinator (upload, cut kind,
-// chain). All methods are atomic and nil-receiver safe, so call sites need
+// long operators spend capturing and encoding state inside the barrier
+// handler, how long the store upload takes, how many bytes each cut
+// persists, and how many cuts completed. One instance is shared by the
+// flow runtime (capture/encode) and the checkpoint coordinator (upload,
+// cuts). All methods are atomic and nil-receiver safe, so call sites need
 // no wiring guards.
 type CheckpointStats struct {
 	captureNs int64
 	encodeNs  int64
 	uploadNs  int64
 	bytes     int64
-	deltaCuts int64
 	fullCuts  int64
-	chainLen  int64
 }
 
 // AddCapture records time spent capturing operator state inside the
@@ -209,7 +206,7 @@ func (s *CheckpointStats) AddCapture(d time.Duration) {
 }
 
 // AddEncode records time spent assembling one subtask's state blob and the
-// blob's size in bytes (background work in async mode).
+// blob's size in bytes.
 func (s *CheckpointStats) AddEncode(d time.Duration, bytes int) {
 	if s == nil {
 		return
@@ -226,25 +223,12 @@ func (s *CheckpointStats) AddUpload(d time.Duration) {
 	atomic.AddInt64(&s.uploadNs, int64(d))
 }
 
-// CountCut records one completed checkpoint, incremental or full.
-func (s *CheckpointStats) CountCut(delta bool) {
+// CountCut records one completed checkpoint.
+func (s *CheckpointStats) CountCut() {
 	if s == nil {
 		return
 	}
-	if delta {
-		atomic.AddInt64(&s.deltaCuts, 1)
-	} else {
-		atomic.AddInt64(&s.fullCuts, 1)
-	}
-}
-
-// SetChainLen records the delta-chain length of the latest completed
-// checkpoint (1 for a full checkpoint).
-func (s *CheckpointStats) SetChainLen(n int) {
-	if s == nil {
-		return
-	}
-	atomic.StoreInt64(&s.chainLen, int64(n))
+	atomic.AddInt64(&s.fullCuts, 1)
 }
 
 // CheckpointSnapshot is a point-in-time copy of CheckpointStats.
@@ -252,18 +236,16 @@ type CheckpointSnapshot struct {
 	// Capture is cumulative hot-path stall: operator state capture inside
 	// the barrier handler, summed over subtask cuts.
 	Capture time.Duration
-	// Encode is cumulative blob assembly time (off the hot path in async
-	// mode).
+	// Encode is cumulative blob assembly time.
 	Encode time.Duration
 	// Upload is cumulative store persistence time.
 	Upload time.Duration
 	// Bytes is the total state bytes written across all cuts.
 	Bytes int64
-	// DeltaCuts and FullCuts count completed checkpoints by kind.
+	// FullCuts counts completed checkpoints. DeltaCuts is always 0: every
+	// cut is a full-state snapshot. It stays so reports that sum the two
+	// keep compiling.
 	DeltaCuts, FullCuts int64
-	// ChainLen is the delta-chain length of the latest completed
-	// checkpoint.
-	ChainLen int
 }
 
 // Snapshot returns a consistent-enough copy for reporting (individual
@@ -273,13 +255,11 @@ func (s *CheckpointStats) Snapshot() CheckpointSnapshot {
 		return CheckpointSnapshot{}
 	}
 	return CheckpointSnapshot{
-		Capture:   time.Duration(atomic.LoadInt64(&s.captureNs)),
-		Encode:    time.Duration(atomic.LoadInt64(&s.encodeNs)),
-		Upload:    time.Duration(atomic.LoadInt64(&s.uploadNs)),
-		Bytes:     atomic.LoadInt64(&s.bytes),
-		DeltaCuts: atomic.LoadInt64(&s.deltaCuts),
-		FullCuts:  atomic.LoadInt64(&s.fullCuts),
-		ChainLen:  int(atomic.LoadInt64(&s.chainLen)),
+		Capture:  time.Duration(atomic.LoadInt64(&s.captureNs)),
+		Encode:   time.Duration(atomic.LoadInt64(&s.encodeNs)),
+		Upload:   time.Duration(atomic.LoadInt64(&s.uploadNs)),
+		Bytes:    atomic.LoadInt64(&s.bytes),
+		FullCuts: atomic.LoadInt64(&s.fullCuts),
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package events is the structured event log: one JSON object per line,
 // one line per lifecycle transition (barrier cut/complete, restore,
-// rescale, compaction, worker connect/disconnect). The log is greppable
+// rescale, worker connect/disconnect). The log is greppable
 // with standard tools (`grep checkpoint.complete events.jsonl | jq ...`)
 // and cheap enough to leave on in production — nothing is buffered beyond
 // the single line being built, and a nil *Log swallows every Emit, so

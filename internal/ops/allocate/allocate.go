@@ -37,7 +37,6 @@ import (
 var (
 	_ ckpt.Snapshotter      = (*Op)(nil)
 	_ ckpt.GroupSnapshotter = (*Op)(nil)
-	_ ckpt.DeltaSnapshotter = (*Op)(nil)
 )
 
 // noTick is the "nothing flushed yet" sentinel for the front-end tick
@@ -107,7 +106,6 @@ type Op struct {
 	// every tick <= lastFlushed has either been flushed or established
 	// as silent for this shard.
 	lastFlushed model.Tick
-	dirty       *ckpt.DirtyTracker
 }
 
 // New builds a GridAllocate operator for the snapshot path.
@@ -129,7 +127,6 @@ func NewFrontEnd(cellWidth, eps float64, mode grid.Mode, incremental bool, subta
 		Stats:       stats,
 		pending:     make(map[model.Tick]*partial),
 		lastFlushed: noTick,
-		dirty:       ckpt.NewDirtyTracker(),
 	}
 }
 
@@ -169,7 +166,6 @@ func (a *Op) Process(data any, out *flow.Collector) {
 
 // buffer stashes one record under its tick (front-end mode).
 func (a *Op) buffer(r msg.Rec) {
-	a.dirty.Touch(uint64(r.Object))
 	p := a.pending[r.Tick]
 	if p == nil {
 		p = &partial{}
@@ -221,12 +217,6 @@ func (a *Op) flush(wm model.Tick, out *flow.Collector, trailing bool) {
 	for _, t := range ticks {
 		p := a.pending[t]
 		delete(a.pending, t)
-		// Releasing the buffer (and, incrementally, moving prev) changes
-		// every flushed id's group state; a delta cut after this flush must
-		// re-capture those groups or restore would resurrect the records.
-		for _, id := range p.ids {
-			a.dirty.Touch(uint64(id))
-		}
 		if t <= a.lastFlushed {
 			continue // replayed duplicate; already accounted for
 		}
@@ -258,9 +248,6 @@ func (a *Op) phantomGap(next model.Tick, out *flow.Collector) {
 		return
 	}
 	t := a.lastFlushed + 1
-	for id := range a.prev {
-		a.dirty.Touch(uint64(id))
-	}
 	if a.Stats != nil {
 		a.Stats.Leaves.Add(int64(len(a.prev)))
 	}
@@ -302,24 +289,20 @@ func (a *Op) flushTick(t model.Tick, p *partial, out *flow.Collector) {
 			moves++
 		}
 	}
-	// Objects leaving the shard this tick are not touched by any record,
-	// but their key group's state changes: mark them dirty before the
-	// diff removes them.
-	leaves := int64(0)
-	for id := range a.prev {
-		j := sort.Search(len(p.ids), func(k int) bool { return p.ids[k] >= id })
-		if j == len(p.ids) || p.ids[j] != id {
-			a.dirty.Touch(uint64(id))
-			leaves++
-		}
-	}
-	for _, delta := range join.DiffObjects(a.prev, p.ids, p.locs, a.CellWidth, a.Eps, a.Mode) {
-		out.Emit(delta.Key.Hash(), msg.CellDelta{Tick: t, Delta: delta})
-	}
 	if a.Stats != nil {
+		leaves := int64(0)
+		for id := range a.prev {
+			j := sort.Search(len(p.ids), func(k int) bool { return p.ids[k] >= id })
+			if j == len(p.ids) || p.ids[j] != id {
+				leaves++
+			}
+		}
 		a.Stats.Enters.Add(enters)
 		a.Stats.Moves.Add(moves)
 		a.Stats.Leaves.Add(leaves)
+	}
+	for _, delta := range join.DiffObjects(a.prev, p.ids, p.locs, a.CellWidth, a.Eps, a.Mode) {
+		out.Emit(delta.Key.Hash(), msg.CellDelta{Tick: t, Delta: delta})
 	}
 }
 

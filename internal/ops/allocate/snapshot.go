@@ -9,8 +9,7 @@
 //     blob prefixed with the subtask's lastFlushed cursor. Groups are the
 //     object id's key groups, so the state reshards with the stage; the
 //     cursor is subtask-scoped, so every blob carries it and a restore
-//     max-merges (a stale cursor from an old delta frame only costs one
-//     self-correcting phantom delete/re-add cycle, never wrong output).
+//     max-merges.
 package allocate
 
 import (
@@ -47,36 +46,6 @@ func (a *Op) SnapshotGroups(group func(uint64) int) (map[int][]byte, error) {
 		out[g] = a.encodeGroup(g, group)
 	}
 	return out, nil
-}
-
-// CaptureGroups implements ckpt.DeltaSnapshotter. The snapshot path has a
-// single always-touched group, so a delta cut just re-encodes it; the
-// front end re-encodes the key groups whose records or positions changed,
-// tombstoning dirty groups that emptied. An undirtied group's frame keeps
-// an older lastFlushed, and a fully empty shard persists none at all —
-// both are safe, because a stale restored cursor only triggers the
-// self-correcting phantom delete/re-add cycle (see flush).
-func (a *Op) CaptureGroups(group func(uint64) int, id, base uint64, delta bool) (map[int][]byte, []int, error) {
-	if !a.FrontEnd {
-		frames, err := a.snapshotPrevKey0(group)
-		return frames, nil, err
-	}
-	dirty := a.dirty.Capture(group, id, base, delta)
-	if !delta {
-		frames, err := a.SnapshotGroups(group)
-		return frames, nil, err
-	}
-	groups := a.groupSet(group)
-	frames := make(map[int][]byte, len(dirty))
-	var dropped []int
-	for g := range dirty {
-		if _, has := groups[g]; !has {
-			dropped = append(dropped, g)
-			continue
-		}
-		frames[g] = a.encodeGroup(g, group)
-	}
-	return frames, dropped, nil
 }
 
 // RestoreGroup implements ckpt.GroupSnapshotter: one key group's state is

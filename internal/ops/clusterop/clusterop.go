@@ -12,7 +12,6 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/ckpt"
 	"repro/internal/dbscan"
 	"repro/internal/enum"
 	"repro/internal/flow"
@@ -75,36 +74,21 @@ type Op struct {
 	inc *dbscan.Incremental
 	// addBuf/delBuf are applyNet's scratch, reused across ticks.
 	addBuf, delBuf [][2]model.ObjectID
-	// dirty tracks touched routing keys for incremental checkpoints.
-	dirty *ckpt.DirtyTracker
 }
 
 // New builds a clustering operator.
 func New(cfg Config) *Op {
-	o := &Op{cfg: cfg, bufs: make(map[model.Tick]*tickBuf), dirty: ckpt.NewDirtyTracker()}
+	o := &Op{cfg: cfg, bufs: make(map[model.Tick]*tickBuf)}
 	if cfg.Incremental {
 		o.inc = dbscan.NewIncremental(cfg.MinPts)
 	}
 	return o
 }
 
-// touch records a state change for delta checkpoints. Classic mode keys
-// state by tick (the routing key records arrive under); incremental mode
-// keeps everything — cross-tick structure and pending buffers — under the
-// constant key 0, matching SnapshotGroups' single group(0) blob.
-func (d *Op) touch(t model.Tick) {
-	if d.cfg.Incremental {
-		d.dirty.Touch(0)
-		return
-	}
-	d.dirty.Touch(uint64(t))
-}
-
 // Process buffers one tick input (snapshot announcement or join pairs).
 func (d *Op) Process(data any, out *flow.Collector) {
 	switch m := data.(type) {
 	case msg.Meta:
-		d.touch(m.Tick)
 		b := d.buf(m.Tick)
 		if d.cfg.FrontEnd {
 			b.mergeMeta(m)
@@ -114,7 +98,6 @@ func (d *Op) Process(data any, out *flow.Collector) {
 		b.objects = m.Objects
 		b.ingest = m.Ingest
 	case msg.Pairs:
-		d.touch(m.Tick)
 		b := d.buf(m.Tick)
 		if !d.cfg.Dedupe {
 			b.pairs = append(b.pairs, m.Pairs...)
@@ -132,7 +115,6 @@ func (d *Op) Process(data any, out *flow.Collector) {
 			b.pairs = append(b.pairs, p)
 		}
 	case msg.PairDelta:
-		d.touch(m.Tick)
 		b := d.buf(m.Tick)
 		for _, p := range m.Add {
 			b.incAdds = append(b.incAdds, uint64(p[0])<<32|uint64(p[1]))
@@ -171,7 +153,6 @@ func (d *Op) OnWatermark(wm model.Tick, out *flow.Collector) {
 		if b.hasMeta {
 			d.finalize(t, b, out)
 		}
-		d.touch(t) // buffer released: its group must tombstone at a delta cut
 		delete(d.bufs, t)
 	}
 }
@@ -191,7 +172,6 @@ func (d *Op) flushIncremental(wm model.Tick, out *flow.Collector) {
 			snap := &model.Snapshot{Tick: t, Objects: b.objects, Ingest: b.ingest}
 			d.emit(t, snap, d.inc.Clusters(b.objects), out)
 		}
-		d.touch(t) // structure advanced and buffer released
 		delete(d.bufs, t)
 	}
 }
@@ -328,7 +308,6 @@ func (d *Op) Close(out *flow.Collector) {
 		if b.hasMeta {
 			d.finalize(t, b, out)
 		}
-		d.touch(t)
 		delete(d.bufs, t)
 	}
 }

@@ -12,7 +12,7 @@ import (
 	"repro/internal/model"
 )
 
-var _ ckpt.DeltaSnapshotter = (*Op)(nil)
+var _ ckpt.GroupSnapshotter = (*Op)(nil)
 
 // In the standard topology the aligned barrier travels behind the source
 // watermark of the last pre-cut tick, so every buffered tick has been
@@ -53,48 +53,6 @@ func (d *Op) SnapshotGroups(group func(uint64) int) (map[int][]byte, error) {
 		out[g] = d.encodeTicks(ticks)
 	}
 	return out, nil
-}
-
-// CaptureGroups implements ckpt.DeltaSnapshotter: a full cut delegates to
-// SnapshotGroups; a delta cut re-encodes only the key groups the dirty
-// tracker reports touched since the base, tombstoning dirty groups whose
-// buffers have all been released. In incremental mode the single group(0)
-// blob is re-encoded whenever anything changed (the cross-tick structure
-// makes finer-grained deltas meaningless for this operator).
-func (d *Op) CaptureGroups(group func(uint64) int, id, base uint64, delta bool) (map[int][]byte, []int, error) {
-	dirty := d.dirty.Capture(group, id, base, delta)
-	if !delta {
-		frames, err := d.SnapshotGroups(group)
-		return frames, nil, err
-	}
-	if d.cfg.Incremental {
-		g0 := group(0)
-		if !dirty[g0] {
-			return nil, nil, nil
-		}
-		if len(d.bufs) == 0 && d.inc.Empty() {
-			return nil, []int{g0}, nil
-		}
-		return map[int][]byte{g0: d.encodeIncremental()}, nil, nil
-	}
-	byGroup := make(map[int][]model.Tick)
-	for t := range d.bufs {
-		if g := group(uint64(t)); dirty[g] {
-			byGroup[g] = append(byGroup[g], t)
-		}
-	}
-	frames := make(map[int][]byte, len(byGroup))
-	var dropped []int
-	for g := range dirty {
-		ticks := byGroup[g]
-		if len(ticks) == 0 {
-			dropped = append(dropped, g)
-			continue
-		}
-		sort.Slice(ticks, func(i, j int) bool { return ticks[i] < ticks[j] })
-		frames[g] = d.encodeTicks(ticks)
-	}
-	return frames, dropped, nil
 }
 
 // encodeTicks serializes the buffers of the given ticks (one key group's

@@ -6,7 +6,6 @@
 package enumop
 
 import (
-	"repro/internal/ckpt"
 	"repro/internal/enum"
 	"repro/internal/flow"
 	"repro/internal/model"
@@ -28,10 +27,6 @@ type Op struct {
 	cfg     Config
 	reorder *flow.ReorderBuffer
 	subs    map[model.ObjectID]enum.Enumerator
-	// dirty tracks touched owner ids (the routing key) for incremental
-	// checkpoints: buffering a partition and feeding one to an enumerator
-	// both change the owner's key-group state.
-	dirty *ckpt.DirtyTracker
 }
 
 // New builds an enumeration operator.
@@ -40,14 +35,12 @@ func New(cfg Config) *Op {
 		cfg:     cfg,
 		reorder: flow.NewReorderBuffer(),
 		subs:    make(map[model.ObjectID]enum.Enumerator),
-		dirty:   ckpt.NewDirtyTracker(),
 	}
 }
 
 // Process buffers one partition until its tick is watermark-covered.
 func (e *Op) Process(data any, out *flow.Collector) {
 	p := data.(enum.Partition)
-	e.dirty.Touch(uint64(p.Owner))
 	e.reorder.Add(p.Tick, p)
 }
 
@@ -70,7 +63,6 @@ func (e *Op) Close(out *flow.Collector) {
 }
 
 func (e *Op) feed(p enum.Partition, out *flow.Collector) {
-	e.dirty.Touch(uint64(p.Owner)) // left the reorder buffer, advanced the enumerator
 	sub := e.subs[p.Owner]
 	if sub == nil {
 		sub = e.cfg.New(p.Owner, e.cfg.Constraints)

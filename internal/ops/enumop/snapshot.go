@@ -11,7 +11,7 @@ import (
 	"repro/internal/model"
 )
 
-var _ ckpt.DeltaSnapshotter = (*Op)(nil)
+var _ ckpt.GroupSnapshotter = (*Op)(nil)
 
 // groupBuf accumulates one key group's share of the operator state while
 // SnapshotGroups buckets it: the pending reorder-buffer partitions (tick
@@ -33,7 +33,7 @@ func (e *Op) SnapshotGroups(group func(uint64) int) (map[int][]byte, error) {
 	if e.reorder.Len() == 0 && len(e.subs) == 0 {
 		return nil, nil
 	}
-	bufs := e.bucketGroups(group, func(int) bool { return true })
+	bufs := e.bucketGroups(group)
 	out := make(map[int][]byte, len(bufs))
 	for g, gb := range bufs {
 		blob, err := e.encodeGroup(gb)
@@ -46,9 +46,8 @@ func (e *Op) SnapshotGroups(group func(uint64) int) (map[int][]byte, error) {
 }
 
 // bucketGroups buckets the operator's state — pending reorder-buffer
-// partitions and live enumerator owners — by key group, visiting only the
-// groups want admits (a delta cut's dirty set; full snapshots admit all).
-func (e *Op) bucketGroups(group func(uint64) int, want func(int) bool) map[int]*groupBuf {
+// partitions and live enumerator owners — by key group.
+func (e *Op) bucketGroups(group func(uint64) int) map[int]*groupBuf {
 	bufs := make(map[int]*groupBuf)
 	grab := func(g int) *groupBuf {
 		gb := bufs[g]
@@ -61,11 +60,7 @@ func (e *Op) bucketGroups(group func(uint64) int, want func(int) bool) map[int]*
 	for _, t := range e.reorder.BufferedTicks() {
 		for _, item := range e.reorder.Items(t) {
 			p := item.(enum.Partition)
-			g := group(uint64(p.Owner))
-			if !want(g) {
-				continue
-			}
-			gb := grab(g)
+			gb := grab(group(uint64(p.Owner)))
 			if gb.items[t] == nil {
 				gb.ticks = append(gb.ticks, t) // BufferedTicks is ascending
 			}
@@ -78,45 +73,10 @@ func (e *Op) bucketGroups(group func(uint64) int, want func(int) bool) map[int]*
 	}
 	sort.Slice(owners, func(i, j int) bool { return owners[i] < owners[j] })
 	for _, o := range owners {
-		g := group(uint64(o))
-		if !want(g) {
-			continue
-		}
-		grab(g).owners = append(grab(g).owners, o)
+		gb := grab(group(uint64(o)))
+		gb.owners = append(gb.owners, o)
 	}
 	return bufs
-}
-
-// CaptureGroups implements ckpt.DeltaSnapshotter: a full cut delegates to
-// SnapshotGroups; a delta cut re-encodes only the key groups whose owners
-// were touched since the base — a partition buffered or fed advances that
-// owner's state — and tombstones dirty groups that no longer hold any
-// partition or enumerator.
-func (e *Op) CaptureGroups(group func(uint64) int, id, base uint64, delta bool) (map[int][]byte, []int, error) {
-	dirty := e.dirty.Capture(group, id, base, delta)
-	if !delta {
-		frames, err := e.SnapshotGroups(group)
-		return frames, nil, err
-	}
-	if len(dirty) == 0 {
-		return nil, nil, nil
-	}
-	bufs := e.bucketGroups(group, func(g int) bool { return dirty[g] })
-	frames := make(map[int][]byte, len(bufs))
-	var dropped []int
-	for g := range dirty {
-		gb := bufs[g]
-		if gb == nil {
-			dropped = append(dropped, g)
-			continue
-		}
-		blob, err := e.encodeGroup(gb)
-		if err != nil {
-			return nil, nil, err
-		}
-		frames[g] = blob
-	}
-	return frames, dropped, nil
 }
 
 // encodeGroup serializes one key group's share: the buffered partitions in

@@ -31,7 +31,7 @@ import (
 
 var (
 	_ ckpt.Snapshotter      = (*Op)(nil)
-	_ ckpt.DeltaSnapshotter = (*Op)(nil)
+	_ ckpt.GroupSnapshotter = (*Op)(nil)
 )
 
 // Kernel selects the per-cell join algorithm.
@@ -74,9 +74,6 @@ type Op struct {
 	// until the watermark passes the tick; checkpointed with the cells.
 	pendTasks  map[model.Tick]map[grid.Key]*join.CellTask
 	pendDeltas map[model.Tick]map[grid.Key]*join.CellDelta
-	// dirty tracks touched cell-key hashes (the routing key) for
-	// incremental checkpoints.
-	dirty *ckpt.DirtyTracker
 	// scratch buffers are reused across Process calls so the steady
 	// state emits without per-cell slice growth. Pair transitions are
 	// collected packed (hi<<32|lo) so sorting and netting run on plain
@@ -88,7 +85,7 @@ type Op struct {
 
 // New builds a GridQuery operator.
 func New(eps float64, metric geo.Metric, kernel Kernel) *Op {
-	return &Op{Eps: eps, Metric: metric, Kernel: kernel, dirty: ckpt.NewDirtyTracker()}
+	return &Op{Eps: eps, Metric: metric, Kernel: kernel}
 }
 
 // SnapshotState implements ckpt.Snapshotter for classic mode (stateless).
@@ -119,7 +116,7 @@ func (g *Op) SnapshotGroups(group func(uint64) int) (map[int][]byte, error) {
 	if len(g.cells) == 0 {
 		return nil, nil
 	}
-	return g.encodeCells(group, func(int) bool { return true }), nil
+	return g.encodeCells(group), nil
 }
 
 // frontEndGroups returns the key groups currently holding cell state or
@@ -142,47 +139,9 @@ func (g *Op) frontEndGroups(group func(uint64) int) map[int]struct{} {
 	return groups
 }
 
-// CaptureGroups implements ckpt.DeltaSnapshotter: a full cut delegates to
-// SnapshotGroups; a delta cut re-encodes only the key groups holding a
-// cell touched by a msg.CellDelta since the base, tombstoning dirty
-// groups whose cells have all emptied. This is the operator the paper's
-// incremental pipeline keeps its bulk state in — cell indexes dominate
-// checkpoint bytes — so skipping clean groups is what shrinks a cut.
-func (g *Op) CaptureGroups(group func(uint64) int, id, base uint64, delta bool) (map[int][]byte, []int, error) {
-	dirty := g.dirty.Capture(group, id, base, delta)
-	if !delta {
-		frames, err := g.SnapshotGroups(group)
-		return frames, nil, err
-	}
-	if len(dirty) == 0 {
-		return nil, nil, nil
-	}
-	if g.FrontEnd {
-		groups := g.frontEndGroups(group)
-		frames := make(map[int][]byte, len(dirty))
-		var dropped []int
-		for grp := range dirty {
-			if _, has := groups[grp]; !has {
-				dropped = append(dropped, grp)
-				continue
-			}
-			frames[grp] = g.encodeFrontEndGroup(grp, group)
-		}
-		return frames, dropped, nil
-	}
-	frames := g.encodeCells(group, func(grp int) bool { return dirty[grp] })
-	var dropped []int
-	for grp := range dirty {
-		if _, ok := frames[grp]; !ok {
-			dropped = append(dropped, grp)
-		}
-	}
-	return frames, dropped, nil
-}
-
-// encodeCells serializes the cell states of every key group want admits,
-// cells in ascending key order for deterministic bytes.
-func (g *Op) encodeCells(group func(uint64) int, want func(int) bool) map[int][]byte {
+// encodeCells serializes the cell states bucketed by key group, cells in
+// ascending key order for deterministic bytes.
+func (g *Op) encodeCells(group func(uint64) int) map[int][]byte {
 	keys := make([]grid.Key, 0, len(g.cells))
 	for k := range g.cells {
 		keys = append(keys, k)
@@ -196,9 +155,6 @@ func (g *Op) encodeCells(group func(uint64) int, want func(int) bool) map[int][]
 	out := make(map[int][]byte)
 	for _, k := range keys {
 		grp := group(k.Hash())
-		if !want(grp) {
-			continue
-		}
 		c := g.cells[k]
 		buf := out[grp]
 		buf = binary.AppendVarint(buf, int64(k.X))
@@ -311,9 +267,6 @@ func (g *Op) runTask(task *join.CellTask, tick model.Tick, out *flow.Collector) 
 // applyDelta folds one (complete) cell delta into the cell's persistent
 // index and emits the netted pair transitions.
 func (g *Op) applyDelta(delta *join.CellDelta, tick model.Tick, out *flow.Collector) {
-	// Every delta mutates its cell's state — including emptying it,
-	// which must tombstone the group at the next incremental cut.
-	g.dirty.Touch(delta.Key.Hash())
 	c := g.cells[delta.Key]
 	if c == nil {
 		c = join.NewIncCell(g.Eps)
@@ -352,7 +305,6 @@ func (g *Op) applyDelta(delta *join.CellDelta, tick model.Tick, out *flow.Collec
 // bufferTask merges one per-shard partial cell task into the (tick, cell)
 // buffer. Shards own disjoint object sets, so merging is concatenation.
 func (g *Op) bufferTask(m msg.Cell) {
-	g.dirty.Touch(m.Task.Key.Hash())
 	if g.pendTasks == nil {
 		g.pendTasks = make(map[model.Tick]map[grid.Key]*join.CellTask)
 	}
@@ -377,7 +329,6 @@ func (g *Op) bufferTask(m msg.Cell) {
 // arrive before a slow shard's tick-t delta, and cell state must absorb
 // them in tick order.
 func (g *Op) bufferDelta(m msg.CellDelta) {
-	g.dirty.Touch(m.Delta.Key.Hash())
 	if g.pendDeltas == nil {
 		g.pendDeltas = make(map[model.Tick]map[grid.Key]*join.CellDelta)
 	}
@@ -436,9 +387,6 @@ func (g *Op) release(wm model.Tick, out *flow.Collector) {
 		if cells := g.pendTasks[t]; cells != nil {
 			delete(g.pendTasks, t)
 			for _, k := range sortedKeys(cells) {
-				// Releasing the buffer changes the group's state: a delta
-				// cut after this must re-capture (or tombstone) the group.
-				g.dirty.Touch(k.Hash())
 				task := cells[k]
 				sortCellObjs(task.Data)
 				sortCellObjs(task.Queries)

@@ -88,10 +88,6 @@ type Graph struct {
 	SinkBarrier func(id uint64)
 	// Restore supplies checkpointed subtask state on resume.
 	Restore func(stage, subtask int) []byte
-	// AsyncSnapshots defers checkpoint blob assembly and the
-	// OnCheckpointState ack to background goroutines (see
-	// flow.Config.AsyncSnapshots).
-	AsyncSnapshots bool
 	// CkptStats, when non-nil, accrues checkpoint capture/encode counters
 	// (see flow.Config.Stats).
 	CkptStats *metrics.CheckpointStats
@@ -181,7 +177,6 @@ func (g *Graph) Build() (*flow.Pipeline, error) {
 		OnCheckpointState: g.OnCheckpointState,
 		SinkBarrier:       g.SinkBarrier,
 		Restore:           g.Restore,
-		AsyncSnapshots:    g.AsyncSnapshots,
 		Stats:             g.CkptStats,
 	}, specs...), nil
 }

@@ -45,7 +45,7 @@ func WriteCSV(w io.Writer, recs []Rec) error {
 }
 
 // ReadCSV parses "object,tick,x,y" lines; blank lines and '#' comments are
-// skipped. It enforces non-decreasing ticks.
+// skipped. It enforces non-decreasing ticks and finite coordinates.
 func ReadCSV(r io.Reader) ([]Rec, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -95,11 +95,24 @@ func parseCSVLine(txt string) (Rec, error) {
 	if err != nil {
 		return Rec{}, fmt.Errorf("y: %w", err)
 	}
+	loc := geo.Point{X: x, Y: y}
+	if err := checkFinite(loc); err != nil {
+		return Rec{}, err
+	}
 	return Rec{
 		Object: model.ObjectID(id),
 		Tick:   model.Tick(tick),
-		Loc:    geo.Point{X: x, Y: y},
+		Loc:    loc,
 	}, nil
+}
+
+// checkFinite rejects NaN and ±Inf coordinates: strconv.ParseFloat and
+// the binary framing both admit them, and no grid cell holds them.
+func checkFinite(p geo.Point) error {
+	if math.IsNaN(p.X) || math.IsInf(p.X, 0) || math.IsNaN(p.Y) || math.IsInf(p.Y, 0) {
+		return fmt.Errorf("non-finite coordinates (%v, %v)", p.X, p.Y)
+	}
+	return nil
 }
 
 // Binary framing: magic, then per record
@@ -114,7 +127,7 @@ type BinWriter struct {
 	w        *bufio.Writer
 	lastTick model.Tick
 	started  bool
-	scratch  [binary.MaxVarintLen64 + 16]byte
+	scratch  [2*binary.MaxVarintLen64 + 16]byte // object uvarint, tick-delta varint, x, y
 }
 
 // NewBinWriter writes the header and returns a writer.
@@ -167,7 +180,9 @@ func NewBinReader(r io.Reader) (*BinReader, error) {
 	return &BinReader{r: br}, nil
 }
 
-// Read returns the next record or io.EOF at stream end.
+// Read returns the next record or io.EOF at stream end. A record with
+// non-finite coordinates is consumed and reported as an error; the stream
+// stays positioned on the next record.
 func (b *BinReader) Read() (Rec, error) {
 	obj, err := binary.ReadUvarint(b.r)
 	if err != nil {
@@ -190,14 +205,14 @@ func (b *BinReader) Read() (Rec, error) {
 	}
 	b.lastTick = tick
 	b.started = true
-	return Rec{
-		Object: model.ObjectID(obj),
-		Tick:   tick,
-		Loc: geo.Point{
-			X: math.Float64frombits(binary.LittleEndian.Uint64(xy[:8])),
-			Y: math.Float64frombits(binary.LittleEndian.Uint64(xy[8:])),
-		},
-	}, nil
+	loc := geo.Point{
+		X: math.Float64frombits(binary.LittleEndian.Uint64(xy[:8])),
+		Y: math.Float64frombits(binary.LittleEndian.Uint64(xy[8:])),
+	}
+	if err := checkFinite(loc); err != nil {
+		return Rec{}, fmt.Errorf("trajio: object %d tick %d: %w", obj, tick, err)
+	}
+	return Rec{Object: model.ObjectID(obj), Tick: tick, Loc: loc}, nil
 }
 
 // SnapshotsToRecs flattens snapshots into transport records.

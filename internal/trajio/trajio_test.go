@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -65,6 +66,11 @@ func TestReadCSVErrors(t *testing.T) {
 		"1,1,z,0",          // bad x
 		"1,1,0,w",          // bad y
 		"1,5,0,0\n1,4,0,0", // ticks regress
+		"1,1,NaN,0",        // NaN x
+		"1,1,0,nan",        // NaN y
+		"1,1,Inf,0",        // +Inf x
+		"1,1,0,-Inf",       // -Inf y
+		"1,1,1e999,0",      // overflows to +Inf
 	}
 	for _, in := range cases {
 		if _, err := ReadCSV(strings.NewReader(in)); err == nil {
@@ -177,6 +183,73 @@ func TestBinReaderTruncated(t *testing.T) {
 	if _, err := r.Read(); err == nil {
 		t.Error("truncated record accepted")
 	}
+}
+
+// A TRJ1 record with a non-finite coordinate is an error, and the reader
+// stays in sync: the record after it decodes normally.
+func TestBinReaderRejectsNonFinite(t *testing.T) {
+	for _, bad := range []geo.Point{
+		{X: math.NaN(), Y: 0},
+		{X: 0, Y: math.NaN()},
+		{X: math.Inf(1), Y: 0},
+		{X: 0, Y: math.Inf(-1)},
+	} {
+		var buf bytes.Buffer
+		w, _ := NewBinWriter(&buf)
+		_ = w.Write(Rec{Object: 1, Tick: 3, Loc: bad})
+		_ = w.Write(Rec{Object: 2, Tick: 4, Loc: geo.Point{X: 1, Y: 2}})
+		_ = w.Flush()
+		r, err := NewBinReader(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec, err := r.Read(); err == nil {
+			t.Errorf("non-finite record %+v accepted", rec)
+		}
+		rec, err := r.Read()
+		if err != nil || rec != (Rec{Object: 2, Tick: 4, Loc: geo.Point{X: 1, Y: 2}}) {
+			t.Errorf("record after the rejected one = %+v, %v", rec, err)
+		}
+	}
+}
+
+// FuzzBinReader feeds arbitrary bytes to the TRJ1 decoder (the netsrc
+// wire format): it must never panic, and every record it accepts has
+// finite coordinates and survives a re-encode/decode round trip.
+func FuzzBinReader(f *testing.F) {
+	var buf bytes.Buffer
+	w, _ := NewBinWriter(&buf)
+	for _, r := range sampleRecs() {
+		_ = w.Write(r)
+	}
+	_ = w.Flush()
+	f.Add(buf.Bytes())
+	f.Add([]byte("TRJ1"))
+	f.Add([]byte("TRJ1\x01\x00\x00\x00\x00\x00\x00\x00\xf8\x7f\x00\x00\x00\x00\x00\x00\x00\x00")) // NaN x
+	f.Add([]byte("TRJ1\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01"))                                 // overlong uvarint
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r, err := NewBinReader(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		for i := 0; i < len(data); i++ {
+			rec, err := r.Read()
+			if err != nil {
+				return
+			}
+			if checkFinite(rec.Loc) != nil {
+				t.Fatalf("accepted non-finite record %+v", rec)
+			}
+			var out bytes.Buffer
+			w, _ := NewBinWriter(&out)
+			_ = w.Write(rec)
+			_ = w.Flush()
+			r2, _ := NewBinReader(&out)
+			if got, err := r2.Read(); err != nil || got != rec {
+				t.Fatalf("round trip of %+v = %+v, %v", rec, got, err)
+			}
+		}
+	})
 }
 
 func TestSnapshotConversionRoundTrip(t *testing.T) {
