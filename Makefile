@@ -35,10 +35,13 @@ fmt-check:
 # (the batched rows should show >= 1.5x the unbatched rec/s);
 # BenchmarkCodecLookup covers the atomic-snapshot codec registry on the
 # frame hot path, and BenchmarkWireEncode the pooled message encoder
-# (TestWireEncodeAllocs asserts its 0 allocs/op).
+# (TestWireEncodeAllocs asserts its 0 allocs/op). BenchmarkFBA runs FBA
+# enumeration over a convoy-like cluster history (TestFBAProcessAllocs
+# asserts steady-state windows allocate nothing).
 bench:
 	$(GO) test ./internal/flow -run '^$$' -bench 'BenchmarkExchange|BenchmarkCodecLookup' -benchtime=1s
 	$(GO) test ./internal/ops/msg -run '^$$' -bench BenchmarkWireEncode -benchtime=1s
+	$(GO) test ./internal/enum -run '^$$' -bench BenchmarkFBA -benchtime=1s
 
 # bench-json writes BENCH_pipeline.json: per-stage throughput and total
 # keyed-exchange records/sec for the in-process vs multi-process TCP

@@ -47,6 +47,19 @@ func New(n int) *Bits {
 	return &Bits{words: make([]uint64, (n+wordBits-1)/wordBits), n: n}
 }
 
+// Reset makes b an all-zero string of length n, reusing its storage when
+// it is large enough.
+func (b *Bits) Reset(n int) {
+	nw := (n + wordBits - 1) / wordBits
+	if cap(b.words) < nw {
+		b.words = make([]uint64, nw)
+	} else {
+		b.words = b.words[:nw]
+		clear(b.words)
+	}
+	b.n = n
+}
+
 // FromString parses a string of '0' and '1' runes, most significant (lowest
 // position) first; any other rune panics. Convenient for tests.
 func FromString(s string) *Bits {
@@ -209,21 +222,45 @@ type Run struct {
 func (r Run) End() int { return r.Start + r.Len }
 
 // Runs returns the maximal 1-runs of b in ascending order.
-func (b *Bits) Runs() []Run {
-	var out []Run
-	i := 0
-	for i < b.n {
-		if !b.Get(i) {
-			i++
-			continue
+func (b *Bits) Runs() []Run { return b.AppendRuns(nil) }
+
+// AppendRuns appends the maximal 1-runs of b to dst in ascending order and
+// returns the extended slice. It scans a word at a time: each run boundary
+// costs one TrailingZeros64, and runs may span word boundaries.
+func (b *Bits) AppendRuns(dst []Run) []Run {
+	start := -1 // start of the run still open at the current position
+	for wi, w := range b.words {
+		if wi == len(b.words)-1 {
+			if rem := b.n % wordBits; rem != 0 {
+				w &= (1 << rem) - 1
+			}
 		}
-		start := i
-		for i < b.n && b.Get(i) {
-			i++
+		base := wi * wordBits
+		off := 0
+		for off < wordBits {
+			if start < 0 {
+				rest := w >> off
+				if rest == 0 {
+					break
+				}
+				off += bits.TrailingZeros64(rest)
+				start = base + off
+			}
+			// The shift brings in zeros at the top, so a run reaching
+			// bit 63 leaves rest == 0 and stays open into the next word.
+			rest := ^w >> off
+			if rest == 0 {
+				break
+			}
+			off += bits.TrailingZeros64(rest)
+			dst = append(dst, Run{Start: start, Len: base + off - start})
+			start = -1
 		}
-		out = append(out, Run{Start: start, Len: i - start})
 	}
-	return out
+	if start >= 0 {
+		dst = append(dst, Run{Start: start, Len: b.n - start})
+	}
+	return dst
 }
 
 // Chain is a maximal sequence of usable runs (each of length >= L) whose

@@ -205,6 +205,109 @@ func TestRuns(t *testing.T) {
 	}
 }
 
+// refRuns derives b's maximal 1-runs bit by bit through Get.
+func refRuns(b *Bits) []Run {
+	var out []Run
+	for i := 0; i < b.Len(); i++ {
+		if !b.Get(i) {
+			continue
+		}
+		start := i
+		for i < b.Len() && b.Get(i) {
+			i++
+		}
+		out = append(out, Run{Start: start, Len: i - start})
+	}
+	return out
+}
+
+// refChains groups usable runs (length >= l) into chains whose tick gaps
+// stay within g, straight from the definition.
+func refChains(runs []Run, l, g int) [][]Run {
+	var out [][]Run
+	lastTick := 0
+	for _, r := range runs {
+		if r.Len < l {
+			continue
+		}
+		if len(out) == 0 || r.Start-lastTick > g {
+			out = append(out, nil)
+		}
+		out[len(out)-1] = append(out[len(out)-1], r)
+		lastTick = r.End() - 1
+	}
+	return out
+}
+
+// The word-at-a-time run scan must agree with a bit-by-bit reference on
+// every length up to 200 — strings ending on a partial word, and runs
+// that start, end or cross at a word boundary (bits 63/64, 127/128).
+func TestRunsMatchBitwiseReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	spans := [][2]int{{0, 64}, {60, 64}, {63, 65}, {64, 70}, {63, 64},
+		{64, 65}, {100, 128}, {127, 129}, {128, 140}, {0, 200}, {65, 127}}
+	var strs []*Bits
+	for n := 0; n <= 200; n++ {
+		for _, percent := range []int{3, 10, 75} {
+			b := New(n)
+			for i := 0; i < n; i++ {
+				if rng.Intn(100) < percent {
+					b.Set(i)
+				}
+			}
+			strs = append(strs, b)
+		}
+		for _, sp := range spans {
+			b := New(n)
+			for i := sp[0]; i < sp[1] && i < n; i++ {
+				b.Set(i)
+			}
+			strs = append(strs, b)
+		}
+	}
+	prefix := []Run{{Start: -7, Len: 3}}
+	for _, b := range strs {
+		want := refRuns(b)
+		if got := b.Runs(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("Runs(%s) = %v, want %v", b, got, want)
+		}
+		got := b.AppendRuns(append([]Run(nil), prefix...))
+		if !reflect.DeepEqual(got, append(append([]Run(nil), prefix...), want...)) {
+			t.Fatalf("AppendRuns(%s) = %v, want %v after %v", b, got, want, prefix)
+		}
+		for _, lg := range [][2]int{{1, 1}, {2, 2}, {3, 5}, {1, 40}} {
+			wantCh := refChains(want, lg[0], lg[1])
+			gotCh := Chains(b, lg[0], lg[1])
+			if len(gotCh) != len(wantCh) {
+				t.Fatalf("Chains(%s, L=%d, G=%d) = %v, want %v", b, lg[0], lg[1], gotCh, wantCh)
+			}
+			for i, ch := range gotCh {
+				count := 0
+				for _, r := range wantCh[i] {
+					count += r.Len
+				}
+				if !reflect.DeepEqual(ch.Runs, wantCh[i]) || ch.Count != count {
+					t.Fatalf("Chains(%s, L=%d, G=%d)[%d] = %+v, want %v", b, lg[0], lg[1], i, ch, wantCh[i])
+				}
+			}
+		}
+	}
+}
+
+// Reset reuses a dirty string's storage at any length, all bits zero.
+func TestReset(t *testing.T) {
+	b := New(0)
+	for _, n := range []int{130, 64, 0, 65, 200, 1} {
+		b.Reset(n)
+		if b.Len() != n || b.OnesCount() != 0 || len(b.Runs()) != 0 {
+			t.Fatalf("Reset(%d) = len %d, %d ones", n, b.Len(), b.OnesCount())
+		}
+		for i := 0; i < n; i += 3 {
+			b.Set(i)
+		}
+	}
+}
+
 func TestChains(t *testing.T) {
 	// L=2, G=2: usable runs must have len >= 2; gap between last tick of one
 	// run and first tick of next must be <= 2.

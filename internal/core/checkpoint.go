@@ -158,6 +158,15 @@ func newCkptRunner(cfg *Config, stages []ckpt.StageInfo) (*ckptRunner, *ckpt.Man
 				events.F("snapshots", man.Source.Snapshots))
 			emitRescale(cfg.Events, man, stages)
 		}
+	} else if prev, err := store.Latest(); err != nil {
+		return nil, nil, err
+	} else if prev != nil {
+		// A fresh run into a directory holding an earlier job's cuts
+		// numbers its own after them, without restoring anything:
+		// retention keeps the highest ids, so cuts numbered from 1 would be
+		// deleted as they commit and a later resume would restore the
+		// earlier job.
+		r.nextID = prev.ID + 1
 	}
 	return r, man, nil
 }

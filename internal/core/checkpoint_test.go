@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/ckpt"
+	"repro/internal/geo"
 	"repro/internal/model"
 )
 
@@ -460,5 +461,99 @@ func TestCheckpointingDoesNotChangeOutput(t *testing.T) {
 	}
 	if !bytes.Equal(patternsCSV(t, ck.Patterns), patternsCSV(t, plain.Patterns)) {
 		t.Fatalf("checkpointed run differs: %d patterns, want %d", len(ck.Patterns), len(plain.Patterns))
+	}
+}
+
+// latestManifest reads the newest completed checkpoint in dir.
+func latestManifest(t *testing.T, dir string) *ckpt.Manifest {
+	t.Helper()
+	store, err := ckpt.NewDirStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	man, err := store.Latest()
+	if err != nil || man == nil {
+		t.Fatalf("no completed checkpoint in %s: %v", dir, err)
+	}
+	return man
+}
+
+// A run without Resume into a directory that already holds an earlier
+// job's checkpoints numbers its cuts after them: retention keeps the
+// highest ids, so the fresh run's cuts must survive it, and a following
+// resume must restart from the fresh run's last cut rather than the
+// earlier job's — in-process and distributed.
+func TestFreshRunIntoUsedCheckpointDir(t *testing.T) {
+	for _, mode := range []string{"inproc", "distributed"} {
+		t.Run(mode, func(t *testing.T) {
+			run := func(cfg Config, snaps []*model.Snapshot) {
+				t.Helper()
+				if mode == "distributed" {
+					runDistributed(t, cfg, snaps, 2)
+					return
+				}
+				if _, err := RunSnapshots(cfg, snaps); err != nil {
+					t.Fatal(err)
+				}
+			}
+			dir := t.TempDir()
+			_, snaps, cfg := plantedWorkload(77, 120)
+			cfg.Enum = FBA
+			cfg.CheckpointInterval = 10
+			cfg.CheckpointDir = dir
+			run(cfg, snaps)
+			long := latestManifest(t, dir)
+
+			const short = 35
+			run(cfg, snaps[:short])
+			man := latestManifest(t, dir)
+			if man.ID <= long.ID || man.Source.Snapshots != short ||
+				man.Source.LastTick != snaps[short-1].Tick {
+				t.Fatalf("after the short run the latest checkpoint is %d at %+v; want an id after %d covering %d snapshots",
+					man.ID, man.Source, long.ID, short)
+			}
+
+			// The resume restarts at the short run's cut: its final cut
+			// covers the short prefix plus what the resume pushed.
+			const more = 25
+			cfg.Resume = true
+			run(cfg, snaps[short:short+more])
+			man = latestManifest(t, dir)
+			if man.Source.Snapshots != short+more || man.Source.LastTick != snaps[short+more-1].Tick {
+				t.Fatalf("after the resume the latest checkpoint is %d at %+v; want %d snapshots up to tick %d",
+					man.ID, man.Source, short+more, snaps[short+more-1].Tick)
+			}
+		})
+	}
+}
+
+// The configuration fingerprint stamped into every manifest is pinned:
+// a change to it would make every existing checkpoint directory refuse to
+// resume. The literals are the fingerprints existing checkpoint
+// directories carry.
+func TestFingerprintUnchanged(t *testing.T) {
+	for _, tc := range []struct {
+		cfg  Config
+		want string
+	}{
+		{
+			Config{Constraints: model.Constraints{M: 5, K: 18, L: 3, G: 3}, Eps: 10, CellWidth: 40,
+				Metric: geo.L1, MinPts: 4, Parallelism: 2, Enum: FBA,
+				CheckpointInterval: 16, CheckpointDir: "unused"},
+			`{"m":5,"k":18,"l":3,"g":3,"eps":10,"cell_width":40,"metric":0,"min_pts":4,"cluster":"rjc","enum":"fba","max_parallelism":128}`,
+		},
+		{
+			Config{Constraints: model.Constraints{M: 3, K: 4, L: 2, G: 2}, Eps: 2.5, MinPts: 3, Enum: BA,
+				SourcePartitions: 2, CheckpointInterval: 8, CheckpointDir: "unused"},
+			`{"m":3,"k":4,"l":2,"g":2,"eps":2.5,"cell_width":10,"metric":0,"min_pts":3,"cluster":"rjc","enum":"ba","max_parallelism":128,"source_partitions":2,"source_silence":64}`,
+		},
+	} {
+		fp, err := Fingerprint(tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(fp) != tc.want {
+			t.Errorf("fingerprint of %v = %s\nwant %s", tc.cfg.Constraints, fp, tc.want)
+		}
 	}
 }

@@ -150,7 +150,7 @@ func (b *BA) verify(base Partition, members []model.ObjectID, emit Emit) {
 	total := lb + b.c.Eta()
 	occ := bitstr.New(total)
 	for j := 0; j < total; j++ {
-		if b.w.hist.containsAll(base.Tick+model.Tick(j-lb), members) {
+		if containsAll(b.w.hist.items(), base.Tick+model.Tick(j-lb), members) {
 			occ.Set(j)
 		}
 	}
@@ -166,13 +166,28 @@ func (b *BA) verify(base Partition, members []model.ObjectID, emit Emit) {
 	emit(patternOf(b.owner, members, ticks))
 }
 
+// chainAt returns the chain of b that starts exactly at position `at`, when
+// it exists and reaches K ones. It reports false when position `at` lies
+// inside a longer chain (backward-connected), in a gap, or in an unusable
+// run — in all of which cases no valid sequence starting at `at` exists or
+// another window owns the pattern.
+func chainAt(b *bitstr.Bits, at int, c model.Constraints) (bitstr.Chain, bool) {
+	for _, ch := range bitstr.Chains(b, c.L, c.G) {
+		if ch.End() <= at {
+			continue
+		}
+		return ch, ch.Start() == at && ch.Count >= c.K
+	}
+	return bitstr.Chain{}, false
+}
+
 // verifyStrict is Algorithm 3 verbatim: grow one sequence greedily, discard
 // via Lemmas 5 and 6, output on first validity.
 func (b *BA) verifyStrict(base Partition, members []model.ObjectID, emit Emit) {
 	T := timeseq.Seq{base.Tick}
 	for j := 1; j < b.c.Eta(); j++ {
 		t := base.Tick + model.Tick(j)
-		if !b.w.hist.containsAll(t, members) {
+		if !containsAll(b.w.hist.items(), t, members) {
 			continue
 		}
 		if timeseq.CanExtend(T, t, b.c) {

@@ -78,79 +78,64 @@ type Enumerator interface {
 // NewFunc constructs a fresh enumerator for one owner subtask.
 type NewFunc func(owner model.ObjectID, c model.Constraints) Enumerator
 
-// tickSet is one tick's membership within a subtask's history. The sorted
-// id slice is retained beside the lookup map so checkpoint serialization
-// walks it directly instead of re-sorting map keys on every barrier.
+// tickSet is one tick's membership within a subtask's history: the
+// partition's member ids, sorted ascending. Window evaluation merges them
+// against the window base's members, so no per-tick lookup set is built.
 type tickSet struct {
-	tick    model.Tick
-	ids     []model.ObjectID // sorted ascending (Partition order)
-	members map[model.ObjectID]struct{}
+	tick model.Tick
+	ids  []model.ObjectID // sorted ascending (Partition order)
 }
 
-func newTickSet(p Partition) tickSet {
-	m := make(map[model.ObjectID]struct{}, len(p.Members))
-	for _, id := range p.Members {
-		m[id] = struct{}{}
-	}
-	return tickSet{tick: p.Tick, ids: p.Members, members: m}
-}
-
-// history is a sliding window of tickSets shared by the windowed
-// enumerators (BA, FBA).
-type history struct {
-	entries []tickSet
-}
-
-func (h *history) add(t tickSet) {
-	h.entries = append(h.entries, t)
-}
-
-// at returns the membership set for a tick, or nil when the owner was
-// unclustered then.
-func (h *history) at(tick model.Tick) map[model.ObjectID]struct{} {
-	i := sort.Search(len(h.entries), func(i int) bool {
-		return h.entries[i].tick >= tick
+// containsAll reports whether every id in set (sorted ascending) was a
+// member at tick, given the history entries in ascending tick order.
+func containsAll(entries []tickSet, tick model.Tick, set []model.ObjectID) bool {
+	i := sort.Search(len(entries), func(i int) bool {
+		return entries[i].tick >= tick
 	})
-	if i < len(h.entries) && h.entries[i].tick == tick {
-		return h.entries[i].members
-	}
-	return nil
-}
-
-// contains reports whether id was a co-cluster member at tick.
-func (h *history) contains(tick model.Tick, id model.ObjectID) bool {
-	m := h.at(tick)
-	if m == nil {
+	if i == len(entries) || entries[i].tick != tick {
 		return false
 	}
-	_, ok := m[id]
-	return ok
-}
-
-// containsAll reports whether every id in set was a member at tick.
-func (h *history) containsAll(tick model.Tick, set []model.ObjectID) bool {
-	m := h.at(tick)
-	if m == nil {
-		return false
-	}
+	ids := entries[i].ids
+	j := 0
 	for _, id := range set {
-		if _, ok := m[id]; !ok {
+		for j < len(ids) && ids[j] < id {
+			j++
+		}
+		if j == len(ids) || ids[j] != id {
 			return false
 		}
+		j++
 	}
 	return true
 }
 
-// dropBefore discards entries older than tick.
-func (h *history) dropBefore(tick model.Tick) {
-	i := 0
-	for i < len(h.entries) && h.entries[i].tick < tick {
-		i++
-	}
-	if i > 0 {
-		h.entries = append(h.entries[:0], h.entries[i:]...)
-	}
+// queue is a FIFO over a reused backing array. Dropping from the front
+// only advances the head; a push into a full array first slides the live
+// items back to its start. Steady-state use therefore neither allocates
+// nor moves the live items on every call.
+type queue[T any] struct {
+	buf  []T // live items are buf[head:]
+	head int
 }
+
+func (q *queue[T]) push(v T) {
+	if len(q.buf) == cap(q.buf) && q.head > 0 {
+		n := copy(q.buf, q.buf[q.head:])
+		clear(q.buf[n:]) // release what the dropped items referenced
+		q.buf, q.head = q.buf[:n], 0
+	}
+	q.buf = append(q.buf, v)
+}
+
+// items returns the live items, oldest first; the slice is valid until
+// the next push.
+func (q *queue[T]) items() []T { return q.buf[q.head:] }
+
+// drop discards the n oldest items.
+func (q *queue[T]) drop(n int) { q.head += n }
+
+// reset empties the queue and releases its storage.
+func (q *queue[T]) reset() { *q = queue[T]{} }
 
 // windowed drives per-start-tick evaluation for BA and FBA: every incoming
 // partition opens a window that is evaluated once eta ticks have passed (or
@@ -161,38 +146,40 @@ func (h *history) dropBefore(tick model.Tick) {
 type windowed struct {
 	eta      int
 	lookback int
-	hist     history
-	pending  []Partition // windows whose eta ticks have not all arrived
+	hist     queue[tickSet]   // ascending ticks
+	pending  queue[Partition] // windows whose eta ticks have not all arrived
 }
 
 // advance ingests a partition and returns the windows that are now ready
-// for evaluation (all their eta ticks are in the past or present). History
-// is pruned relative to the oldest window still needing it — including the
-// ready ones the caller is about to evaluate.
+// for evaluation (all their eta ticks are in the past or present). The
+// result aliases the pending queue and is valid until the next advance.
+// History is pruned relative to the oldest window still needing it —
+// including the ready ones the caller is about to evaluate.
 func (w *windowed) advance(p Partition) []Partition {
-	w.hist.add(newTickSet(p))
-	w.pending = append(w.pending, p)
-	var ready []Partition
-	for len(w.pending) > 0 &&
-		w.pending[0].Tick+model.Tick(w.eta)-1 <= p.Tick {
-		ready = append(ready, w.pending[0])
-		w.pending = w.pending[1:]
+	w.hist.push(tickSet{tick: p.Tick, ids: p.Members})
+	w.pending.push(p)
+	pending := w.pending.items()
+	n := 0
+	for n < len(pending) && pending[n].Tick+model.Tick(w.eta)-1 <= p.Tick {
+		n++
 	}
-	oldest := p.Tick
-	if len(w.pending) > 0 {
-		oldest = w.pending[0].Tick
+	w.pending.drop(n)
+	// Pending ticks ascend, so the oldest window still needing history is
+	// the first pending one, ready or not.
+	cut := pending[0].Tick - model.Tick(w.lookback)
+	hist := w.hist.items()
+	i := 0
+	for i < len(hist) && hist[i].tick < cut {
+		i++
 	}
-	if len(ready) > 0 && ready[0].Tick < oldest {
-		oldest = ready[0].Tick
-	}
-	w.hist.dropBefore(oldest - model.Tick(w.lookback))
-	return ready
+	w.hist.drop(i)
+	return pending[:n]
 }
 
 // drain returns all remaining windows (stream flush).
 func (w *windowed) drain() []Partition {
-	out := w.pending
-	w.pending = nil
+	out := w.pending.items()
+	w.pending.reset()
 	return out
 }
 

@@ -249,62 +249,67 @@ func setsEqual(a, b map[string]bool) bool {
 	return true
 }
 
-// TestCrossValidation is the central equivalence suite: on random cluster
-// histories, BA == FBA exactly, VBA == oracle exactly (maximal sequences),
-// every method finds the same object sets as the oracle, and every emitted
-// witness is genuinely valid.
+// crossValidate runs BA, FBA, VBA and the oracle on one history and
+// reports whether BA == FBA exactly, VBA == oracle exactly (maximal
+// sequences), every method finds the oracle's object sets, every emitted
+// witness is genuinely valid, and FBA's witnesses start exactly at the
+// oracle's chain starts, one per chain. It returns FBA's pattern count.
+func crossValidate(t *testing.T, seed int64, hist []*model.ClusterSnapshot, c model.Constraints) (int, bool) {
+	oracle := Oracle(hist, c)
+	ba := runMethod(hist, c, NewBA)
+	fba := runMethod(hist, c, NewFBA)
+	vba := runMethod(hist, c, NewVBA)
+
+	if !patternsEqual(ba, fba) {
+		t.Logf("seed %d %v: BA != FBA\nBA:  %v\nFBA: %v", seed, c, ba, fba)
+		return 0, false
+	}
+	if !patternsEqual(vba, oracle.Patterns) {
+		t.Logf("seed %d %v: VBA != oracle\nVBA:    %v\noracle: %v",
+			seed, c, vba, oracle.Patterns)
+		return 0, false
+	}
+	oracleSets := ObjectSets(oracle.Patterns)
+	for name, ps := range map[string][]model.Pattern{
+		"BA": ba, "FBA": fba, "VBA": vba,
+	} {
+		if !setsEqual(ObjectSets(ps), oracleSets) {
+			t.Logf("seed %d %v: %s object sets differ from oracle\n%s: %v\noracle: %v",
+				seed, c, name, name, ps, oracle.Patterns)
+			return 0, false
+		}
+		for _, p := range ps {
+			checkWitness(t, name, hist, c, p)
+		}
+	}
+	type startKey struct {
+		key  string
+		tick model.Tick
+	}
+	fbaStarts := map[startKey]int{}
+	for _, p := range fba {
+		fbaStarts[startKey{p.Key(), p.Times[0]}]++
+	}
+	oracleStarts := map[startKey]int{}
+	for _, p := range oracle.Patterns {
+		oracleStarts[startKey{p.Key(), p.Times[0]}]++
+	}
+	if !reflect.DeepEqual(fbaStarts, oracleStarts) {
+		t.Logf("seed %d %v: FBA chain starts differ\nFBA:    %v\noracle: %v",
+			seed, c, fba, oracle.Patterns)
+		return 0, false
+	}
+	return len(fba), true
+}
+
+// TestCrossValidation is the central equivalence suite, run by
+// crossValidate on random cluster histories.
 func TestCrossValidation(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		hist := genHistory(rng, 5+rng.Intn(4), 10+rng.Intn(20))
-		c := genConstraints(rng)
-
-		oracle := Oracle(hist, c)
-		ba := runMethod(hist, c, NewBA)
-		fba := runMethod(hist, c, NewFBA)
-		vba := runMethod(hist, c, NewVBA)
-
-		if !patternsEqual(ba, fba) {
-			t.Logf("seed %d %v: BA != FBA\nBA:  %v\nFBA: %v", seed, c, ba, fba)
-			return false
-		}
-		if !patternsEqual(vba, oracle.Patterns) {
-			t.Logf("seed %d %v: VBA != oracle\nVBA:    %v\noracle: %v",
-				seed, c, vba, oracle.Patterns)
-			return false
-		}
-		oracleSets := ObjectSets(oracle.Patterns)
-		for name, ps := range map[string][]model.Pattern{
-			"BA": ba, "FBA": fba, "VBA": vba,
-		} {
-			if !setsEqual(ObjectSets(ps), oracleSets) {
-				t.Logf("seed %d %v: %s object sets differ from oracle\n%s: %v\noracle: %v",
-					seed, c, name, name, ps, oracle.Patterns)
-				return false
-			}
-			for _, p := range ps {
-				checkWitness(t, name, hist, c, p)
-			}
-		}
-		// FBA witnesses start exactly at oracle chain starts, one per chain.
-		type startKey struct {
-			key  string
-			tick model.Tick
-		}
-		fbaStarts := map[startKey]int{}
-		for _, p := range fba {
-			fbaStarts[startKey{p.Key(), p.Times[0]}]++
-		}
-		oracleStarts := map[startKey]int{}
-		for _, p := range oracle.Patterns {
-			oracleStarts[startKey{p.Key(), p.Times[0]}]++
-		}
-		if !reflect.DeepEqual(fbaStarts, oracleStarts) {
-			t.Logf("seed %d %v: FBA chain starts differ\nFBA:    %v\noracle: %v",
-				seed, c, fba, oracle.Patterns)
-			return false
-		}
-		return true
+		_, ok := crossValidate(t, seed, hist, genConstraints(rng))
+		return ok
 	}
 	n := 120
 	if testing.Short() {
@@ -312,6 +317,78 @@ func TestCrossValidation(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: n}); err != nil {
 		t.Error(err)
+	}
+}
+
+// genStickyHistory generates a history in which each object keeps its
+// cluster (or noise) for long stretches, switching with probability 1/150
+// per tick, and drops out of it for single ticks with probability 1/20 —
+// long co-clustering chains broken by gaps and short runs.
+func genStickyHistory(rng *rand.Rand, nObjects, nTicks int) []*model.ClusterSnapshot {
+	const nClusters = 2
+	bucket := make([]int, nObjects)
+	for i := range bucket {
+		bucket[i] = rng.Intn(nClusters)
+	}
+	var out []*model.ClusterSnapshot
+	for t := 1; t <= nTicks; t++ {
+		for i := range bucket {
+			if rng.Intn(150) == 0 {
+				bucket[i] = rng.Intn(nClusters + 1) // nClusters = noise
+			}
+		}
+		if rng.Intn(40) == 0 {
+			continue // nobody clustered at this tick
+		}
+		cs := &model.ClusterSnapshot{Tick: model.Tick(t)}
+		for c := 0; c < nClusters; c++ {
+			var cl model.Cluster
+			for i, b := range bucket {
+				if b == c && rng.Intn(20) != 0 {
+					cl = append(cl, model.ObjectID(i+1))
+				}
+			}
+			if len(cl) >= 2 {
+				cs.Clusters = append(cs.Clusters, cl)
+			}
+		}
+		cs.SortClusters()
+		out = append(out, cs)
+	}
+	return out
+}
+
+// TestCrossValidationLongWindows repeats the equivalence suite with FBA
+// windows (lookback + eta) longer than one 64-bit word — up to three —
+// so the member strings, their ANDs and the run scan cross word
+// boundaries.
+func TestCrossValidationLongWindows(t *testing.T) {
+	n := 32
+	if testing.Short() {
+		n = 8
+	}
+	patterns, longest := 0, 0
+	for seed := int64(0); seed < int64(n); seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		c := model.Constraints{L: 1}
+		for c.Eta()+fbaLookback(c) <= 64 {
+			c = model.Constraints{
+				M: 2 + rng.Intn(3),
+				K: 40 + rng.Intn(31),
+				L: 1 + rng.Intn(4),
+				G: 2 + rng.Intn(5),
+			}
+		}
+		longest = max(longest, c.Eta()+fbaLookback(c))
+		hist := genStickyHistory(rng, 6+rng.Intn(3), 140+rng.Intn(20))
+		got, ok := crossValidate(t, seed, hist, c)
+		if !ok {
+			t.Fatalf("seed %d %v: long-window cross-validation failed", seed, c)
+		}
+		patterns += got
+	}
+	if patterns == 0 || longest <= 128 {
+		t.Fatalf("weak test: %d FBA patterns, longest window %d bits", patterns, longest)
 	}
 }
 

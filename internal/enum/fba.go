@@ -25,6 +25,15 @@ type FBA struct {
 	owner model.ObjectID
 	c     model.Constraints
 	w     windowed
+
+	// Scratch reused across windows, so evaluating one allocates nothing:
+	// one bit string per base member, the surviving candidates, one AND
+	// result per lattice depth, the chosen member ids and the run buffer.
+	bits   []bitstr.Bits
+	cands  []fbaCand
+	depth  []bitstr.Bits
+	chosen []model.ObjectID
+	runs   []bitstr.Run
 }
 
 // fbaLookback returns the history depth needed to decide chain starts: a
@@ -58,57 +67,48 @@ func (f *FBA) Flush(emit Emit) {
 	}
 }
 
-// chainAt returns the chain of b that starts exactly at position `at`, when
-// it exists and reaches K ones. It reports false when position `at` lies
-// inside a longer chain (backward-connected), in a gap, or in an unusable
-// run — in all of which cases no valid sequence starting at `at` exists or
-// another window owns the pattern.
-func chainAt(b *bitstr.Bits, at int, c model.Constraints) (bitstr.Chain, bool) {
-	for _, ch := range bitstr.Chains(b, c.L, c.G) {
-		if ch.End() <= at {
-			continue
+// chainFrom locates the chain of b (usable runs under L, G) that covers
+// the base position fbaLookback, or else the first chain after it. It
+// returns the chain's start position, its number of ones at or after the
+// base, and its usable runs — a view of the FBA's run buffer, valid until
+// the next call. count is 0 when no chain ends after the base.
+//
+// Both window tests derive from it. The per-member and per-prefix filter
+// (Algorithm 4 lines 7-8) is count >= K && start <= base: it is monotone
+// under adding bits, so every member of an emittable pattern survives — a
+// member's (superset) string has a chain covering the base, possibly
+// starting earlier because the member co-clustered with the owner before
+// the full pattern formed, with at least as many ticks at or after it.
+// Emission needs the exact chain-start rule, count >= K && start == base;
+// a base inside a longer chain, in a gap or in an unusable run belongs to
+// no valid sequence starting there, or to another window.
+func (f *FBA) chainFrom(b *bitstr.Bits) (start, count int, runs []bitstr.Run) {
+	at := fbaLookback(f.c)
+	f.runs = b.AppendRuns(f.runs[:0])
+	usable := f.runs[:0]
+	for _, r := range f.runs {
+		if r.Len >= f.c.L {
+			usable = append(usable, r)
 		}
-		if ch.Start() > at {
-			return bitstr.Chain{}, false
-		}
-		if ch.Start() == at {
-			return ch, ch.Count >= c.K
-		}
-		return bitstr.Chain{}, false
 	}
-	return bitstr.Chain{}, false
-}
-
-// candidateOK is the per-member filter (Algorithm 4 lines 7-8). It must be
-// monotone under adding bits so that every member of an emittable pattern
-// survives: if the pattern's bit string has a chain starting exactly at the
-// base with >= K ticks, every member's (superset) string has a chain
-// *covering* the base — possibly starting earlier, since the member may
-// have co-clustered with the owner before the full pattern formed — whose
-// at-or-after-base tick count is at least as large.
-func candidateOK(b *bitstr.Bits, at int, c model.Constraints) bool {
-	for _, ch := range bitstr.Chains(b, c.L, c.G) {
-		if ch.End() <= at {
-			continue
+	for i := 0; i < len(usable); {
+		// Usable runs chain while the tick gap nextStart - prevLast stays
+		// within G, i.e. nextStart - prevEnd <= G-1.
+		j := i + 1
+		for j < len(usable) && usable[j].Start-usable[j-1].End() <= f.c.G-1 {
+			j++
 		}
-		if ch.Start() > at {
-			return false
-		}
-		// The chain covering `at`: count its ticks at or after `at`.
-		count := 0
-		for _, r := range ch.Runs {
-			if r.End() <= at {
-				continue
+		if usable[j-1].End() > at {
+			for _, r := range usable[i:j] {
+				if s := max(r.Start, at); r.End() > s {
+					count += r.End() - s
+				}
 			}
-			s := r.Start
-			if s < at {
-				s = at
-			}
-			count += r.End() - s
+			return usable[i].Start, count, usable[i:j]
 		}
-		return count >= c.K
+		i = j
 	}
-	return false
+	return -1, 0, nil
 }
 
 // fbaCand is one candidate trajectory with its window bit string.
@@ -122,30 +122,56 @@ func (f *FBA) evalWindow(base Partition, emit Emit) {
 	if len(base.Members) < need {
 		return
 	}
-	eta := f.c.Eta()
 	lb := fbaLookback(f.c)
-	total := lb + eta
+	total := lb + f.c.Eta()
 	// Build B[oi] for every member over [base.Tick-lb, base.Tick+eta)
-	// (Algorithm 4 lines 2-6), keeping only candidates whose own string
-	// already admits a chain starting at the base (lines 7-8, strengthened
-	// to the chain-start rule every emitted pattern must satisfy).
-	cands := make([]fbaCand, 0, len(base.Members))
-	allContinue := true
-	for _, id := range base.Members {
-		b := bitstr.New(total)
-		for j := 0; j < total; j++ {
-			if f.w.hist.contains(base.Tick+model.Tick(j-lb), id) {
-				b.Set(j)
-			}
+	// (Algorithm 4 lines 2-6) in one pass over the history: each entry's
+	// sorted ids are merged with the base's sorted members, setting the
+	// entry's bit in every member string it contains.
+	if len(f.bits) < len(base.Members) {
+		f.bits = make([]bitstr.Bits, len(base.Members))
+	}
+	bs := f.bits[:len(base.Members)]
+	for i := range bs {
+		bs[i].Reset(total)
+	}
+	from := base.Tick - model.Tick(lb)
+	for _, e := range f.w.hist.items() {
+		if e.tick < from {
+			continue
 		}
-		if candidateOK(b, lb, f.c) {
-			cands = append(cands, fbaCand{id: id, bits: b})
-			if !b.Get(lb - 1) {
-				allContinue = false
+		pos := int(e.tick - from)
+		if pos >= total {
+			break
+		}
+		ids, j := e.ids, 0
+		for i, id := range base.Members {
+			for j < len(ids) && ids[j] < id {
+				j++
+			}
+			if j == len(ids) {
+				break
+			}
+			if ids[j] == id {
+				bs[i].Set(pos)
 			}
 		}
 	}
-	if len(cands) < need {
+	// Keep only candidates whose own string has a chain covering the base
+	// with K ticks from it on (lines 7-8; see chainFrom).
+	f.cands = f.cands[:0]
+	allContinue := true
+	for i, id := range base.Members {
+		b := &bs[i]
+		if start, count, _ := f.chainFrom(b); count < f.c.K || start > lb {
+			continue
+		}
+		f.cands = append(f.cands, fbaCand{id: id, bits: b})
+		if !b.Get(lb - 1) {
+			allContinue = false
+		}
+	}
+	if len(f.cands) < need {
 		return
 	}
 	if allContinue {
@@ -154,47 +180,54 @@ func (f *FBA) evalWindow(base Partition, emit Emit) {
 		// continuation and the chain-start window owns all its patterns.
 		return
 	}
-	chosen := make([]model.ObjectID, 0, len(cands))
-	f.extend(base, cands, 0, chosen, nil, emit)
+	if len(f.depth) < len(f.cands) {
+		f.depth = make([]bitstr.Bits, len(f.cands))
+		f.chosen = make([]model.ObjectID, 0, len(f.cands))
+	}
+	f.extend(base, 0, f.chosen[:0], nil, emit)
 }
 
 // extend walks the candidate lattice depth-first (Algorithm 4 lines 9-17).
-// prefix is the AND of the chosen candidates' bit strings (nil when empty).
-// Pruning uses the monotone candidateOK test — a prefix's chain may start
-// before the base while a superset's starts exactly there — and emission
-// uses the exact chain-start test.
-func (f *FBA) extend(base Partition, cands []fbaCand, from int,
-	chosen []model.ObjectID, prefix *bitstr.Bits, emit Emit) {
+// prefix is the AND of the chosen candidates' bit strings (nil when
+// empty); the AND for the next member lands in the scratch string of depth
+// len(chosen). Pruning uses the monotone covering test, emission the exact
+// chain-start test (see chainFrom).
+func (f *FBA) extend(base Partition, from int, chosen []model.ObjectID,
+	prefix *bitstr.Bits, emit Emit) {
 	lb := fbaLookback(f.c)
-	for i := from; i < len(cands); i++ {
-		var b *bitstr.Bits
-		if prefix == nil {
-			b = cands[i].bits
-		} else {
-			b = bitstr.And(prefix, cands[i].bits)
+	for i := from; i < len(f.cands); i++ {
+		b := f.cands[i].bits
+		if prefix != nil {
+			b = &f.depth[len(chosen)]
+			bitstr.AndInto(b, prefix, f.cands[i].bits)
 		}
-		if !candidateOK(b, lb, f.c) {
+		start, count, runs := f.chainFrom(b)
+		if count < f.c.K || start > lb {
 			continue
 		}
-		chosen = append(chosen, cands[i].id)
-		if len(chosen) >= f.c.M-1 {
-			if chain, ok := chainAt(b, lb, f.c); ok {
-				f.emitPattern(base, chosen, chain, emit)
-			}
+		chosen = append(chosen, f.cands[i].id)
+		if len(chosen) >= f.c.M-1 && start == lb {
+			f.emitPattern(base, chosen, runs, emit)
 		}
-		f.extend(base, cands, i+1, chosen, b, emit)
+		f.extend(base, i+1, chosen, b, emit)
 		chosen = chosen[:len(chosen)-1]
 	}
 }
 
-// emitPattern reports one pattern whose chain starts at the window base.
+// emitPattern reports one pattern whose chain (runs) starts at the window
+// base.
 func (f *FBA) emitPattern(base Partition, members []model.ObjectID,
-	chain bitstr.Chain, emit Emit) {
-	lb := fbaLookback(f.c)
-	pos := chain.Positions()
-	ticks := make([]model.Tick, len(pos))
-	for i, p := range pos {
-		ticks[i] = base.Tick + model.Tick(p-lb)
+	runs []bitstr.Run, emit Emit) {
+	from := base.Tick - model.Tick(fbaLookback(f.c))
+	n := 0
+	for _, r := range runs {
+		n += r.Len
+	}
+	ticks := make([]model.Tick, 0, n)
+	for _, r := range runs {
+		for p := r.Start; p < r.End(); p++ {
+			ticks = append(ticks, from+model.Tick(p))
+		}
 	}
 	emit(patternOf(f.owner, members, ticks))
 }

@@ -117,13 +117,15 @@ func decodeBits(d *flow.Dec) *bitstr.Bits {
 // the history entries and the pending (not yet evaluated) window bases.
 // eta and lookback are construction-time configuration and excluded.
 func appendWindowed(buf []byte, w *windowed) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(w.hist.entries)))
-	for _, e := range w.hist.entries {
+	hist := w.hist.items()
+	buf = binary.AppendUvarint(buf, uint64(len(hist)))
+	for _, e := range hist {
 		buf = binary.AppendVarint(buf, int64(e.tick))
 		buf = appendIDs(buf, e.ids)
 	}
-	buf = binary.AppendUvarint(buf, uint64(len(w.pending)))
-	for _, p := range w.pending {
+	pending := w.pending.items()
+	buf = binary.AppendUvarint(buf, uint64(len(pending)))
+	for _, p := range pending {
 		buf = AppendPartition(buf, p)
 	}
 	return buf
@@ -131,20 +133,15 @@ func appendWindowed(buf []byte, w *windowed) []byte {
 
 func decodeWindowed(d *flow.Dec, w *windowed) {
 	nh := int(d.Uvarint())
-	w.hist.entries = nil
+	w.hist.reset()
 	for i := 0; i < nh && d.Err() == nil; i++ {
 		tick := model.Tick(d.Varint())
-		ids := decodeIDs(d)
-		members := make(map[model.ObjectID]struct{}, len(ids))
-		for _, id := range ids {
-			members[id] = struct{}{}
-		}
-		w.hist.entries = append(w.hist.entries, tickSet{tick: tick, ids: ids, members: members})
+		w.hist.push(tickSet{tick: tick, ids: decodeIDs(d)})
 	}
 	np := int(d.Uvarint())
-	w.pending = nil
+	w.pending.reset()
 	for i := 0; i < np && d.Err() == nil; i++ {
-		w.pending = append(w.pending, DecodePartition(d))
+		w.pending.push(DecodePartition(d))
 	}
 }
 
@@ -157,7 +154,7 @@ func checkTag(d *flow.Dec, want byte, name string) error {
 
 // SnapshotState implements ckpt.Snapshotter.
 func (f *FBA) SnapshotState() ([]byte, error) {
-	if len(f.w.hist.entries) == 0 && len(f.w.pending) == 0 {
+	if len(f.w.hist.items()) == 0 && len(f.w.pending.items()) == 0 {
 		return nil, nil
 	}
 	return appendWindowed([]byte{stateTagFBA}, &f.w), nil
@@ -175,7 +172,7 @@ func (f *FBA) RestoreState(data []byte) error {
 
 // SnapshotState implements ckpt.Snapshotter.
 func (b *BA) SnapshotState() ([]byte, error) {
-	if len(b.w.hist.entries) == 0 && len(b.w.pending) == 0 && !b.Overflowed {
+	if len(b.w.hist.items()) == 0 && len(b.w.pending.items()) == 0 && !b.Overflowed {
 		return nil, nil
 	}
 	buf := []byte{stateTagBA}

@@ -27,15 +27,22 @@ type Op struct {
 	cfg     Config
 	reorder *flow.ReorderBuffer
 	subs    map[model.ObjectID]enum.Enumerator
+
+	// out is the collector of the call in progress; emit, built once,
+	// forwards patterns to it.
+	out  *flow.Collector
+	emit enum.Emit
 }
 
 // New builds an enumeration operator.
 func New(cfg Config) *Op {
-	return &Op{
+	e := &Op{
 		cfg:     cfg,
 		reorder: flow.NewReorderBuffer(),
 		subs:    make(map[model.ObjectID]enum.Enumerator),
 	}
+	e.emit = func(p model.Pattern) { e.out.Emit(0, p) }
+	return e
 }
 
 // Process buffers one partition until its tick is watermark-covered.
@@ -46,29 +53,31 @@ func (e *Op) Process(data any, out *flow.Collector) {
 
 // OnWatermark releases tick-ordered partitions to their enumerators.
 func (e *Op) OnWatermark(wm model.Tick, out *flow.Collector) {
+	e.out = out
 	for _, item := range e.reorder.Release(wm) {
-		e.feed(item.(enum.Partition), out)
+		e.feed(item.(enum.Partition))
 	}
 }
 
 // Close drains the reorder buffer and flushes every enumerator.
 func (e *Op) Close(out *flow.Collector) {
+	e.out = out
 	for _, item := range e.reorder.ReleaseAll() {
-		e.feed(item.(enum.Partition), out)
+		e.feed(item.(enum.Partition))
 	}
 	for _, sub := range e.subs {
-		sub.Flush(func(p model.Pattern) { out.Emit(0, p) })
+		sub.Flush(e.emit)
 	}
 	e.noteOverflow()
 }
 
-func (e *Op) feed(p enum.Partition, out *flow.Collector) {
+func (e *Op) feed(p enum.Partition) {
 	sub := e.subs[p.Owner]
 	if sub == nil {
 		sub = e.cfg.New(p.Owner, e.cfg.Constraints)
 		e.subs[p.Owner] = sub
 	}
-	sub.Process(p, func(pat model.Pattern) { out.Emit(0, pat) })
+	sub.Process(p, e.emit)
 }
 
 func (e *Op) noteOverflow() {
